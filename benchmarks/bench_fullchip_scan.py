@@ -245,24 +245,24 @@ def test_a3f_fastpath_ablation(benchmark, tech45, stdlib45, obs_registry):
 
 
 def test_a3z_payload_bytes(benchmark, tech45, stdlib45, obs_registry):
-    """Payload bytes vs chip size: the zero-copy acceptance row.
+    """Payload bytes vs chip size: the constant-size transport row.
 
-    The shared-memory transport ships only a ``(block name, offsets,
-    params)`` handle per worker, so ``pool.payload_bytes`` must stay
-    ~constant as the chip grows (the acceptance bar: within 2x of the
-    smallest chip while area grows >= 4x), where the pickled path grows
-    linearly with the rect count.  Both engines must report identical
-    hotspot populations at every scale.
+    A pooled in-RAM scan writes its geometry to a run-scoped layout
+    store and ships workers ``(path, offset, count, digest)`` handles,
+    so ``pool.payload_bytes`` must stay ~constant as the chip grows
+    (the acceptance bar: within 2x of the smallest chip while area
+    grows >= 4x), where the pickled rect list — the geometry itself —
+    grows linearly with the rect count.
     """
+    import pickle
+
     from repro.designgen import LogicBlockSpec, generate_logic_block
     from repro.obs import names
-    from repro.parallel.shm import ENV_DISABLE
 
     model = LithoModel(tech45.litho)
     limit = tech45.metal_width // 2
     scales = {
         "x1": LogicBlockSpec(rows=1, row_width_nm=13000, net_count=12, seed=7, weak_spots=6),
-        "x2": LogicBlockSpec(rows=1, row_width_nm=26000, net_count=12, seed=7, weak_spots=6),
         "x4": LogicBlockSpec(rows=1, row_width_nm=54000, net_count=12, seed=7, weak_spots=6),
     }
 
@@ -273,33 +273,26 @@ def test_a3z_payload_bytes(benchmark, tech45, stdlib45, obs_registry):
             block = generate_logic_block(tech45, spec, stdlib45)
             m1 = block.top.region(tech45.layers.metal1)
             areas[label] = m1.bbox.area
-            kwargs = dict(tile_nm=6000, pinch_limit=limit, jobs=2)
-            shm_report = scan_full_chip(model, m1, **kwargs)
-            bytes_by_mode[f"shm_{label}"] = obs_registry.gauge_value(
+            scan_full_chip(model, m1, tile_nm=6000, pinch_limit=limit, jobs=2)
+            bytes_by_mode[f"store_{label}"] = obs_registry.gauge_value(
                 names.POOL_PAYLOAD_BYTES
             )
-            os.environ[ENV_DISABLE] = "1"
-            try:
-                pickled_report = scan_full_chip(model, m1, **kwargs)
-            finally:
-                del os.environ[ENV_DISABLE]
-            bytes_by_mode[f"pickled_{label}"] = obs_registry.gauge_value(
-                names.POOL_PAYLOAD_BYTES
+            bytes_by_mode[f"pickled_{label}"] = len(
+                pickle.dumps(list(m1.rects()), pickle.HIGHEST_PROTOCOL)
             )
-            assert shm_report.hotspots == pickled_report.hotspots
         return bytes_by_mode, areas
 
     bytes_by_mode, areas = run_once(benchmark, _run)
 
     table = Table(
         "A3z: per-worker payload bytes vs chip size, jobs=2",
-        ["chip", "area (um^2)", "shm bytes", "pickled bytes"],
+        ["chip", "area (um^2)", "store-handle bytes", "pickled rect list bytes"],
     )
     for label in scales:
         table.add_row(
             label,
             areas[label] / 1e6,
-            bytes_by_mode[f"shm_{label}"],
+            bytes_by_mode[f"store_{label}"],
             bytes_by_mode[f"pickled_{label}"],
         )
     print()
@@ -309,23 +302,23 @@ def test_a3z_payload_bytes(benchmark, tech45, stdlib45, obs_registry):
         key: float(value) for key, value in bytes_by_mode.items()
     }
 
-    record = ExperimentRecord("A3z", "shm payload stays flat as the chip grows")
+    record = ExperimentRecord("A3z", "store-handle payload stays flat as the chip grows")
     record.record("area_growth", areas["x4"] / areas["x1"])
-    record.record("shm_growth", bytes_by_mode["shm_x4"] / bytes_by_mode["shm_x1"])
+    record.record("store_growth", bytes_by_mode["store_x4"] / bytes_by_mode["store_x1"])
     record.record(
         "pickled_growth",
         bytes_by_mode["pickled_x4"] / bytes_by_mode["pickled_x1"],
     )
-    flat = bytes_by_mode["shm_x4"] <= 2 * bytes_by_mode["shm_x1"]
+    flat = bytes_by_mode["store_x4"] <= 2 * bytes_by_mode["store_x1"]
     record.conclude(flat)
     print(record.render())
 
-    # the chip really grows >= 4x while the shm payload stays within 2x
+    # the chip really grows >= 4x while the handle payload stays within 2x
     assert areas["x4"] >= 4 * areas["x1"]
     assert flat
-    # the pickled path is the linear-growth baseline being replaced
+    # the pickled geometry is the linear-growth baseline never shipped
     assert bytes_by_mode["pickled_x4"] > 2 * bytes_by_mode["pickled_x1"]
-    assert bytes_by_mode["shm_x1"] < bytes_by_mode["pickled_x1"]
+    assert bytes_by_mode["store_x1"] < bytes_by_mode["pickled_x1"]
 
 
 def test_a4_out_of_core_rss(benchmark, tech45, tmp_path):

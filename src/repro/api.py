@@ -304,10 +304,11 @@ def make_service(
     over a socket with ``repro serve``), and ``close()`` it — it is a
     context manager — when done.
 
-    ``session_store_dir`` switches sessions to cached out-of-core
-    layout stores (see :func:`ingest_store`): requests mmap the store
-    file instead of parsing the GDSII, and because the files live on
-    disk, sessions survive service restarts.
+    Every session serves requests from an out-of-core layout store
+    (see :func:`ingest_store`) instead of a parsed layout.
+    ``session_store_dir`` chooses where those stores persist, so
+    sessions survive service restarts; without it they live in a
+    private temp dir removed by ``close()``.
     """
     from repro.service import VerificationService
 

@@ -280,11 +280,7 @@ def cmd_scan(args) -> int:
     tech = make_node(args.node)
     layer = _resolve_layer(tech, args.layer)
     if args.store:
-        store = _open_store(args)
-        store_layer = store.layer_for(layer)
-        # an empty layer has no rect runs to window; its (empty) region
-        # scans identically through the in-RAM path
-        region = store_layer if not store_layer.is_empty else store_layer.region()
+        region = _open_store(args).layer_for(layer)
     else:
         layout = read_gds(args.gds)
         cell = _resolve_cell(layout, args.cell)
@@ -642,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store-entries", type=int, default=100000,
                    help="tile results kept in the shared store (LRU beyond this)")
     p.add_argument("--session-store-dir", default=None, metavar="DIR",
-                   help="back sessions with cached out-of-core layout stores "
-                        "in DIR (they survive daemon restarts)")
+                   help="persist session layout stores in DIR so they survive "
+                        "daemon restarts (default: a private temp dir)")
     _add_obs(p)
     p.set_defaults(func=cmd_serve)
 

@@ -30,14 +30,11 @@ from repro.drc import checks
 from repro.drc.violations import DrcReport, Violation
 from repro.geometry import Rect, Region
 from repro.layout import Cell, Layer
-from repro.layout.store import StoreRects, StoreView
+from repro.layout.store import StoreRects, StoreView, run_store
 from repro.obs import get_registry, names, span
 from repro.parallel import (
     Checkpoint,
     FaultPlan,
-    SharedPayload,
-    ShmArena,
-    ShmRects,
     Tile,
     TileCache,
     TileExecutor,
@@ -116,9 +113,7 @@ def run_drc(
     fault_plan: FaultPlan | None = None,
     checkpoint_file: str | None = None,
     resume: bool = False,
-    region_source: Callable[[Layer, Rect | None], Region] | None = None,
     executor: TileExecutor | None = None,
-    sharer: "Callable[[_DrcPayload], SharedPayload | None] | None" = None,
     store: StoreView | None = None,
 ) -> DrcReport:
     """Flatten ``cell`` per layer and run every rule in ``deck``.
@@ -135,13 +130,9 @@ def run_drc(
     ``timeout`` bounds each chunk's wall time, and ``checkpoint_file``
     (+ ``resume``) lets an interrupted run restart where it left off.
 
-    The residency hooks mirror :func:`repro.litho.fullchip.scan_full_chip`:
-    ``region_source(layer, window)`` replaces the per-call flatten with
-    a caller-owned (typically session-cached) region lookup,
     ``executor`` reuses a caller-owned — typically persistent —
-    :class:`TileExecutor`, and ``sharer`` serves a pre-packed shared-
-    memory payload instead of packing a fresh arena per run.  All three
-    leave results and cache keys byte-identical.
+    :class:`TileExecutor` (as in :func:`repro.litho.fullchip.scan_full_chip`),
+    leaving results and cache keys byte-identical.
 
     ``store`` runs the deck against an out-of-core layout store instead
     of flattening ``cell`` (which may then be ``None``): tile tasks
@@ -152,8 +143,6 @@ def run_drc(
     """
     if cell is None and store is None:
         raise ValueError("run_drc needs a cell or a store")
-    if store is not None and region_source is not None:
-        raise ValueError("store and region_source are mutually exclusive")
     layers_needed: set[Layer] = set()
     for rule in deck:
         layers_needed.update(_rule_layers(rule))
@@ -171,9 +160,8 @@ def run_drc(
                     for layer in layers_needed
                 }
     else:
-        source = region_source if region_source is not None else cell.region
         with span("drc.flatten"):
-            regions = {layer: source(layer, window) for layer in layers_needed}
+            regions = {layer: cell.region(layer, window) for layer in layers_needed}
     if window is not None:
         extent = window
     else:
@@ -208,7 +196,6 @@ def run_drc(
                 checkpoint_file=checkpoint_file,
                 resume=resume,
                 executor=executor,
-                sharer=sharer,
             )
     report.cell_name = cell.name if cell is not None else store.cell_name
     registry = get_registry()
@@ -234,91 +221,52 @@ def run_drc_regions(
     return report
 
 
-class _SharedLayerRegions:
-    """Layer→Region mapping whose geometry lives in shared memory.
-
-    Stands in for the payload's plain region dict on pooled runs: it
-    pickles as ``{layer: ShmRects}`` handles only, and each worker
-    rebuilds a layer's :class:`Region` — from the handle's canonical
-    rect order, so digests and results are bit-identical — on first
-    access, caching it for the rest of the process.  The parent-side
-    instance is seeded with the original regions, so in-process reads
-    never touch the mapping.
-    """
-
-    __slots__ = ("_handles", "_regions")
-
-    def __init__(
-        self,
-        handles: dict[Layer, ShmRects],
-        regions: dict[Layer, Region] | None = None,
-    ):
-        self._handles = handles
-        self._regions: dict[Layer, Region] = dict(regions) if regions else {}
-
-    def __getstate__(self) -> dict[Layer, ShmRects]:
-        return self._handles
-
-    def __setstate__(self, state: dict[Layer, ShmRects]) -> None:
-        self._handles = state
-        self._regions = {}
-
-    def get(self, layer: Layer, default: Region | None = None) -> Region | None:
-        region = self._regions.get(layer)
-        if region is None:
-            handle = self._handles.get(layer)
-            if handle is None:
-                return default
-            region = Region.from_canonical_rects(handle.rects())
-            self._regions[layer] = region
-        return region
-
-
 class _StoreLayerRegions:
-    """Layer→Region mapping backed by an out-of-core layout store.
+    """Layer→Region mapping backed by a layout store.
 
-    The store-file twin of :class:`_SharedLayerRegions`: it pickles as
-    ``{layer: StoreRects}`` handles (three scalars each) plus the
-    per-layer digests recorded at ingest, and workers mmap the store
-    read-only instead of reattaching a shm segment.  Tile tasks go
-    through :meth:`clipped`, which materializes only the rects whose
-    bbox touches the tile window — a worker's resident geometry is
-    bounded by its tile, not the chip.  ``get`` (full materialization)
-    is kept for global rules and the single-pass engine.
+    It pickles as ``{layer: StoreRects}`` handles (whose pickled state
+    already carries each layer's digest) plus the deck layers the store
+    holds nothing for, and workers mmap the store read-only.  Tile
+    tasks go through :meth:`clipped`, which materializes only the rects
+    whose bbox touches the tile window — a worker's resident geometry
+    is bounded by its tile, not the chip.  ``get`` (full
+    materialization) is kept for global rules and the single-pass
+    engine.
 
     Digests come from the store directory, where they were computed
-    slab-by-slab during ingest with the exact ``Region.digest()``
+    slab-by-slab while writing with the exact ``Region.digest()``
     packing — cache keys and checkpoint signatures are interchangeable
     with the in-RAM path.
     """
 
-    __slots__ = ("_handles", "_digests", "_regions")
+    __slots__ = ("_handles", "_empty", "_regions")
 
     def __init__(
-        self, handles: dict[Layer, StoreRects], digests: dict[Layer, str]
+        self, handles: dict[Layer, StoreRects], empty: tuple[Layer, ...]
     ) -> None:
         self._handles = handles
-        self._digests = digests
+        self._empty = empty
         self._regions: dict[Layer, Region] = {}
 
     @classmethod
     def from_view(cls, view: StoreView, layers: "set[Layer]") -> "_StoreLayerRegions":
         handles: dict[Layer, StoreRects] = {}
-        digests: dict[Layer, str] = {}
+        empty: list[Layer] = []
         for layer in layers:
             store_layer = view.layer_for(layer)
-            digests[layer] = store_layer.digest()
-            if not store_layer.is_empty:
+            if store_layer.is_empty:
+                empty.append(layer)
+            else:
                 handles[layer] = store_layer.handle()
-        return cls(handles, digests)
+        return cls(handles, tuple(empty))
 
-    def __getstate__(self) -> tuple[dict[Layer, StoreRects], dict[Layer, str]]:
-        return (self._handles, self._digests)
+    def __getstate__(self) -> tuple[dict[Layer, StoreRects], tuple[Layer, ...]]:
+        return (self._handles, self._empty)
 
     def __setstate__(
-        self, state: tuple[dict[Layer, StoreRects], dict[Layer, str]]
+        self, state: tuple[dict[Layer, StoreRects], tuple[Layer, ...]]
     ) -> None:
-        self._handles, self._digests = state
+        self._handles, self._empty = state
         self._regions = {}
 
     def get(self, layer: Layer, default: Region | None = None) -> Region | None:
@@ -326,7 +274,7 @@ class _StoreLayerRegions:
         if region is None:
             handle = self._handles.get(layer)
             if handle is None:
-                return default if layer not in self._digests else _EMPTY
+                return _EMPTY if layer in self._empty else default
             region = Region.from_canonical_rects(handle.rects())
             self._regions[layer] = region
         return region
@@ -347,18 +295,19 @@ class _StoreLayerRegions:
 
     def digest(self, layer: Layer) -> str:
         """``Region.digest()`` of the full layer, from the directory."""
-        return self._digests.get(layer, _EMPTY_DIGEST)
+        handle = self._handles.get(layer)
+        return handle.digest() if handle is not None else _EMPTY_DIGEST
 
     def signature_items(self) -> tuple[tuple[Layer, str], ...]:
         """(layer, digest) pairs in the checkpoint-signature order."""
+        layers = [*self._handles, *self._empty]
         return tuple(
-            (layer, self._digests[layer])
-            for layer in sorted(self._digests, key=repr)
+            (layer, self.digest(layer)) for layer in sorted(layers, key=repr)
         )
 
 
 def _clip_layer(
-    regions: "dict[Layer, Region] | _SharedLayerRegions | _StoreLayerRegions",
+    regions: "dict[Layer, Region] | _StoreLayerRegions",
     layer: Layer,
     window: Rect,
 ) -> Region:
@@ -369,7 +318,7 @@ def _clip_layer(
 
 
 def _layer_digest(
-    regions: "dict[Layer, Region] | _SharedLayerRegions | _StoreLayerRegions",
+    regions: "dict[Layer, Region] | _StoreLayerRegions",
     layer: Layer,
 ) -> str:
     """Full-layer digest without materializing store-backed layers."""
@@ -383,36 +332,16 @@ def _layer_digest(
 class _DrcPayload:
     """Read-only per-run state shipped to each worker once.
 
-    ``regions`` is one of: the plain per-layer dict; a
-    :class:`_SharedLayerRegions` store (pooled runs, via
-    :func:`_share_drc_payload`) whose geometry travels through shared
-    memory instead of the pickle wire; or a :class:`_StoreLayerRegions`
-    mapping (store-backed runs) that serves windowed clips straight
-    from the mmapped layout store.  All expose the same ``get`` access
-    the tasks use.
+    ``regions`` is either the plain per-layer dict (in-process runs) or
+    a :class:`_StoreLayerRegions` mapping (store-backed and pooled
+    runs) that serves windowed clips straight from the mmapped layout
+    store.  Both expose the same ``get`` access the tasks use.
     """
 
-    regions: "dict[Layer, Region] | _SharedLayerRegions | _StoreLayerRegions"
+    regions: "dict[Layer, Region] | _StoreLayerRegions"
     local_rules: tuple[Rule, ...]
     global_rules: tuple[Rule, ...]
     extent: Rect
-
-
-def _share_drc_payload(payload: _DrcPayload) -> SharedPayload | None:
-    """Repack the payload's per-layer regions into shared memory.
-
-    Only rule decks and scalars then cross the pickle wire.  Returns
-    ``None`` — caller ships the payload pickled — when shared memory is
-    unavailable.
-    """
-    layers = list(payload.regions)
-    arena = ShmArena.pack(
-        [list(payload.regions[layer].rects()) for layer in layers]
-    )
-    if arena is None:
-        return None
-    store = _SharedLayerRegions(dict(zip(layers, arena.handles)), payload.regions)
-    return SharedPayload(replace(payload, regions=store), arena)
 
 
 # A task is ("tile", Tile) for the local deck over one tile window, or
@@ -493,7 +422,6 @@ def run_drc_tiled(
     checkpoint_file: str | None = None,
     resume: bool = False,
     executor: TileExecutor | None = None,
-    sharer: "Callable[[_DrcPayload], SharedPayload | None] | None" = None,
 ) -> DrcReport:
     """Tiled parallel/incremental deck run over per-layer regions.
 
@@ -554,31 +482,32 @@ def run_drc_tiled(
         checkpoint = Checkpoint.open(checkpoint_file, signature, resume=resume)
 
     with span("drc.compute"):
-        # pooled runs move the per-layer geometry into shared memory so
-        # the per-worker pickle payload stays constant-size; task keys
-        # above were computed from the plain payload and are identical
+        # only a pooled run pays the pickle wire, so only it moves
+        # in-RAM layers into a run-scoped store; task keys above were
+        # computed from the plain payload and are identical
         tile_executor = executor if executor is not None else TileExecutor(jobs)
-        exec_payload: _DrcPayload | SharedPayload = payload
+        in_ram: dict[tuple[int, int], Region] = {}
         if (
             pending
-            # store-backed payloads already pickle as (path, offset, count)
-            # handles; no shm arena needed
             and not isinstance(regions, _StoreLayerRegions)
             and (tile_executor.jobs > 1 or timeout is not None)
         ):
-            shared = (sharer or _share_drc_payload)(payload)
-            if shared is not None:
-                exec_payload = shared
-        outcome = tile_executor.run(
-            _drc_task,
-            exec_payload,
-            [t for _, t in pending],
-            keys=[i for i, _ in pending],
-            timeout=timeout,
-            max_retries=max_retries,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-        )
+            in_ram = {(l.gds_layer, l.gds_datatype): r for l, r in regions.items()}
+        with run_store(in_ram) as view:
+            exec_payload = payload
+            if view is not None:
+                stored = _StoreLayerRegions.from_view(view, set(regions))
+                exec_payload = replace(payload, regions=stored)
+            outcome = tile_executor.run(
+                _drc_task,
+                exec_payload,
+                [t for _, t in pending],
+                keys=[i for i, _ in pending],
+                timeout=timeout,
+                max_retries=max_retries,
+                fault_plan=fault_plan,
+                checkpoint=checkpoint,
+            )
     for (i, _), value in zip(pending, outcome.results):
         if value is None:  # quarantined: no result for this task
             continue

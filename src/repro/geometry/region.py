@@ -126,7 +126,7 @@ class Region:
         ``rects`` must be exactly what :meth:`rects` produced (the
         order ships rects slab by slab, y-sorted within each slab), as
         preserved by serialization paths like
-        :class:`repro.parallel.shm.ShmRects`.  Rebuilding is then pure
+        :class:`repro.layout.store.StoreRects`.  Rebuilding is then pure
         regrouping — no sweep — and bit-identical: canonical rects
         sharing an x-range are one slab's y-intervals.
         """
@@ -139,6 +139,10 @@ class Region:
         return cls._from_slabs(_merge_slabs(slabs))
 
     # -- iteration and size ----------------------------------------------
+    def slabs(self) -> Iterator[Slab]:
+        """Iterate the canonical ``(x0, x1, y-intervals)`` slabs."""
+        return iter(self._slabs)
+
     def rects(self) -> Iterator[Rect]:
         """Iterate the canonical disjoint rectangles."""
         for xa, xb, ys in self._slabs:

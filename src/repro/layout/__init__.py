@@ -14,7 +14,10 @@ __all__ = [
     "StoreRects",
     "ensure_store",
     "ingest",
+    "write_store",
+    "run_store",
     "open_store",
+    "close_store",
     "LayoutStoreError",
     "LayoutStoreVersionError",
 ]

@@ -28,13 +28,17 @@ closed bbox touches the window — the same contract as
 ``GridIndex.query`` — so the pooled engines see identical geometry.
 
 Workers reattach with :class:`StoreRects`, which pickles as
-``(path, offset, count)``: the payload for a billion-rect layer is a
-few dozen bytes, and the kernel page cache shares the backing pages
-between every worker on the host.
+``(path, offset, count, digest)``: the payload for a billion-rect layer
+is about a hundred bytes, and the kernel page cache shares the backing
+pages between every worker on the host.  This is the only way pooled
+runs ship geometry: :func:`write_store` writes in-RAM regions through
+the same writer as ``ingest``, and :func:`run_store` scopes such a file
+to one pooled run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import heapq
 import json
@@ -45,11 +49,12 @@ import struct
 import sys
 import tempfile
 from array import array
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.gdsii.stream import flatten, scan_gds
 from repro.geometry import Rect, Region
 from repro.geometry.intervals import merge_intervals
+from repro.geometry.region import Slab
 from repro.obs import get_registry, names
 
 log = logging.getLogger("repro.layout.store")
@@ -244,6 +249,79 @@ def _source_signature(path: str) -> dict:
     }
 
 
+def _write_layers(
+    data, layers: Iterable[tuple[LayerKey, Iterable[Slab]]]
+) -> tuple[list[dict], list[int] | None]:
+    """Stream each layer's canonical slabs into ``data``.
+
+    Returns the per-layer directory entries (empty layers are skipped,
+    as the reader treats absent layers as empty) and the union extent.
+    """
+    entries: list[dict] = []
+    extent: list[int] | None = None
+    offset = 0
+    for key, slabs in layers:
+        writer = _LayerWriter(data)
+        for xa, xb, ys in slabs:
+            writer.write_slab(xa, xb, ys)
+        writer.flush()
+        if writer.count == 0:
+            continue
+        entries.append(
+            {
+                "layer": key[0],
+                "datatype": key[1],
+                "offset": offset,
+                "count": writer.count,
+                "extent": writer.extent,
+                "digest": writer.digest.hexdigest(),
+                "run_len": _RUN_LEN,
+                "runs": writer.runs,
+            }
+        )
+        offset += writer.count * _QUAD
+        ext = writer.extent
+        if extent is None:
+            extent = list(ext)  # type: ignore[arg-type]
+        else:
+            extent = [
+                min(extent[0], ext[0]),
+                min(extent[1], ext[1]),
+                max(extent[2], ext[2]),
+                max(extent[3], ext[3]),
+            ]
+    return entries, extent
+
+
+def _publish(store_path: str, meta: dict, data) -> None:
+    """Write header + ``data`` to a sibling temp file, then move it into
+    place atomically; the temp file never outlives a failed write."""
+    meta = {"version": _MAGIC.decode("ascii").rstrip("\n\x00"), **meta}
+    payload = json.dumps(meta, sort_keys=True).encode("utf-8")
+    header = _MAGIC + struct.pack("<I", len(payload)) + payload
+    tmp_path = store_path + ".tmp"
+    try:
+        with open(tmp_path, "wb") as out:
+            out.write(header)
+            out.write(b"\x00" * ((-len(header)) % 64))
+            data.seek(0)
+            while True:
+                chunk = data.read(1 << 20)
+                if not chunk:
+                    break
+                out.write(chunk)
+        os.replace(tmp_path, store_path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
+
+
+def _check_host() -> None:
+    if sys.byteorder != "little":
+        raise LayoutStoreError("layout stores require a little-endian host")
+
+
 def ingest(
     gds_path: str | os.PathLike,
     store_path: str | os.PathLike,
@@ -256,8 +334,7 @@ def ingest(
     of the flattened rect count.  The store is written to a sibling
     temp file and moved into place atomically.
     """
-    if sys.byteorder != "little":
-        raise LayoutStoreError("layout stores require a little-endian host")
+    _check_host()
     gds_path = os.fspath(gds_path)
     store_path = os.fspath(store_path)
     source = _source_signature(gds_path)
@@ -266,9 +343,6 @@ def ingest(
 
     out_dir = os.path.dirname(os.path.abspath(store_path)) or "."
     sorters: dict[LayerKey, _QuadSorter] = {}
-    entries: list[dict] = []
-    total_rects = 0
-    extent: list[int] | None = None
 
     with tempfile.TemporaryFile(dir=out_dir) as spill:
 
@@ -283,41 +357,14 @@ def ingest(
         flatten(lib, cell_name, emit)
 
         with tempfile.TemporaryFile(dir=out_dir) as data:
-            offset = 0
-            for key in sorted(sorters):
-                writer = _LayerWriter(data)
-                for xa, xb, ys in _stream_slabs(sorters[key].sorted_quads(spill)):
-                    writer.write_slab(xa, xb, ys)
-                writer.flush()
-                if writer.count == 0:
-                    continue
-                entries.append(
-                    {
-                        "layer": key[0],
-                        "datatype": key[1],
-                        "offset": offset,
-                        "count": writer.count,
-                        "extent": writer.extent,
-                        "digest": writer.digest.hexdigest(),
-                        "run_len": _RUN_LEN,
-                        "runs": writer.runs,
-                    }
-                )
-                offset += writer.count * _QUAD
-                total_rects += writer.count
-                ext = writer.extent
-                if extent is None:
-                    extent = list(ext)  # type: ignore[arg-type]
-                else:
-                    extent = [
-                        min(extent[0], ext[0]),
-                        min(extent[1], ext[1]),
-                        max(extent[2], ext[2]),
-                        max(extent[3], ext[3]),
-                    ]
-
+            entries, extent = _write_layers(
+                data,
+                (
+                    (key, _stream_slabs(sorters[key].sorted_quads(spill)))
+                    for key in sorted(sorters)
+                ),
+            )
             meta = {
-                "version": _MAGIC.decode("ascii").rstrip("\n\x00"),
                 "dbu_nm": lib.dbu_nm,
                 "cell": cell_name,
                 "explicit_cell": cell is not None,
@@ -325,22 +372,9 @@ def ingest(
                 "extent": extent,
                 "layers": entries,
             }
-            payload = json.dumps(meta, sort_keys=True).encode("utf-8")
-            header = _MAGIC + struct.pack("<I", len(payload)) + payload
-            pad = (-len(header)) % 64
+            _publish(store_path, meta, data)
 
-            tmp_path = store_path + ".tmp"
-            with open(tmp_path, "wb") as out:
-                out.write(header)
-                out.write(b"\x00" * pad)
-                data.seek(0)
-                while True:
-                    chunk = data.read(1 << 20)
-                    if not chunk:
-                        break
-                    out.write(chunk)
-            os.replace(tmp_path, store_path)
-
+    total_rects = sum(e["count"] for e in entries)
     registry = get_registry()
     registry.inc(names.LAYOUTSTORE_INGESTS)
     registry.gauge(names.LAYOUTSTORE_RECTS, total_rects)
@@ -353,6 +387,72 @@ def ingest(
         len(entries),
     )
     return open_store(store_path, refresh=True)
+
+
+def write_store(
+    layers: Mapping[LayerKey, Region], store_path: str | os.PathLike
+) -> "StoreView":
+    """Write in-RAM regions to a ``layoutstore-v1`` store and map it.
+
+    Regions already hold the canonical slab form, so unlike
+    :func:`ingest` there is nothing to sort: each layer's slabs stream
+    straight through the same writer, with identical digests and
+    window-query directory.  Coordinates are nm (``dbu_nm`` 1.0) and the
+    store names no source file or cell.  Raises
+    :class:`LayoutStoreError` for a coordinate beyond int32 or a
+    big-endian host.
+    """
+    _check_host()
+    store_path = os.fspath(store_path)
+    out_dir = os.path.dirname(os.path.abspath(store_path)) or "."
+    with tempfile.TemporaryFile(dir=out_dir) as data:
+        entries, extent = _write_layers(
+            data, ((key, layers[key].slabs()) for key in sorted(layers))
+        )
+        meta = {
+            "dbu_nm": 1.0,
+            "cell": None,
+            "explicit_cell": False,
+            "source": None,
+            "extent": extent,
+            "layers": entries,
+        }
+        _publish(store_path, meta, data)
+    return open_store(store_path, refresh=True)
+
+
+@contextlib.contextmanager
+def run_store(layers: Mapping[LayerKey, Region]) -> Iterator["StoreView | None"]:
+    """A run-scoped :func:`write_store` file in the default temp dir.
+
+    Yields the mapped view — or ``None`` when there are no layers, or,
+    after one logged warning, when they cannot be stored (a coordinate
+    beyond int32, a big-endian host, a full or unwritable temp dir), so
+    the caller ships its geometry pickled instead.  On exit the
+    parent's mapping is dropped and the file unlinked, whether the body
+    returned or raised; workers still mapping it keep their pages until
+    they exit.
+    """
+    path: str | None = None
+    view: StoreView | None = None
+    try:
+        if layers:
+            try:
+                fd, path = tempfile.mkstemp(suffix=".lstore")
+                os.close(fd)
+                view = write_store(layers, path)
+            except (LayoutStoreError, OSError) as exc:
+                log.warning(
+                    "run-scoped layout store unavailable (%s); shipping pickled payload",
+                    exc,
+                )
+        yield view
+    finally:
+        if view is not None:
+            close_store(view)
+        if path is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +496,11 @@ class StoreLayer:
         return self.entry["digest"]
 
     def handle(self) -> "StoreRects":
-        """Picklable ``(path, offset, count)`` handle for workers."""
+        """Picklable ``(path, offset, count, digest)`` handle for workers."""
         if self.entry is None:
             raise LayoutStoreError(f"layer {self.key} is empty in {self.view.path}")
-        return StoreRects(self.view.path, self.entry["offset"], self.entry["count"])
+        entry = self.entry
+        return StoreRects(self.view.path, entry["offset"], entry["count"], entry["digest"])
 
     def rects(self) -> list[Rect]:
         """Every canonical rect, in ``Region.rects()`` order."""
@@ -472,11 +573,10 @@ class StoreView:
     """A read-only mmap of one ``layoutstore-v1`` file."""
 
     def __init__(self, path: str | os.PathLike) -> None:
-        if sys.byteorder != "little":
-            raise LayoutStoreError("layout stores require a little-endian host")
+        _check_host()
         self.path = os.path.abspath(os.fspath(path))
         st = os.stat(self.path)
-        self.stat_signature = (st.st_mtime_ns, st.st_size)
+        self.stat_signature = _stat_signature(st)
         with open(self.path, "rb") as fh:
             head = fh.read(len(_MAGIC))
             if head != _MAGIC:
@@ -553,12 +653,12 @@ class StoreView:
         """The store layer for a :class:`repro.layout.Layer`."""
         return self.layer(layer.gds_layer, layer.gds_datatype)
 
-    def _layer_at(self, offset: int, count: int) -> StoreLayer:
+    def _layer_at(self, offset: int, count: int, digest: str) -> StoreLayer:
         entry = self._by_offset.get(offset)
-        if entry is None or entry["count"] != count:
+        if entry is None or entry["count"] != count or entry["digest"] != digest:
             raise LayoutStoreError(
-                f"no layer at offset {offset} (x{count}) in {self.path}; "
-                "store was rewritten since the handle was made"
+                f"no layer at offset {offset} (x{count}, {digest[:12]}) in "
+                f"{self.path}; store was rewritten since the handle was made"
             )
         return StoreLayer(self, (entry["layer"], entry["datatype"]), entry)
 
@@ -573,6 +673,12 @@ class StoreView:
 _VIEWS: dict[str, StoreView] = {}
 
 
+def _stat_signature(st: os.stat_result) -> tuple[int, int, int]:
+    # the inode catches a same-size rewrite (tmp + os.replace) landing
+    # within one mtime tick of the file it replaced
+    return (st.st_mtime_ns, st.st_size, st.st_ino)
+
+
 def open_store(path: str | os.PathLike, *, refresh: bool = False) -> StoreView:
     """Map a store file, sharing one view per path per process.
 
@@ -583,14 +689,20 @@ def open_store(path: str | os.PathLike, *, refresh: bool = False) -> StoreView:
     view = _VIEWS.get(abspath)
     if view is not None and not refresh:
         try:
-            st = os.stat(abspath)
-            if (st.st_mtime_ns, st.st_size) == view.stat_signature:
+            if _stat_signature(os.stat(abspath)) == view.stat_signature:
                 return view
         except OSError:
             pass
     view = StoreView(abspath)
     _VIEWS[abspath] = view
     return view
+
+
+def close_store(view: StoreView) -> None:
+    """Unmap ``view`` and drop it from this process's view cache."""
+    if _VIEWS.get(view.path) is view:
+        del _VIEWS[view.path]
+    view.close()
 
 
 def ensure_store(
@@ -629,32 +741,38 @@ def ensure_store(
 
 
 class StoreRects:
-    """Picklable handle to one store layer: ``(path, offset, count)``.
+    """Picklable handle to one store layer: ``(path, offset, count, digest)``.
 
-    The worker-side twin of :class:`repro.parallel.shm.ShmRects`, with
-    the shm segment replaced by the store file: unpickling costs three
-    scalars on the wire, and resolution mmaps (or reuses) the store
-    read-only — no geometry ever crosses the pipe.
+    Unpickling costs four scalars on the wire, and resolution mmaps (or
+    reuses) the store read-only — no geometry ever crosses the pipe.
+    The layer digest makes the handle name *content*, not a file slot:
+    a store re-written in place with the same rect count pickles to
+    different bytes (so a warm pool keyed on payload bytes is retired
+    instead of serving the old layout), and resolving a handle against
+    a store whose layer no longer has that digest raises
+    :class:`LayoutStoreError`.
     """
 
-    __slots__ = ("path", "offset", "count", "_layer")
+    __slots__ = ("path", "offset", "count", "_digest", "_layer")
 
-    def __init__(self, path: str, offset: int, count: int) -> None:
+    def __init__(self, path: str, offset: int, count: int, digest: str) -> None:
         self.path = path
         self.offset = offset
         self.count = count
+        self._digest = digest
         self._layer: StoreLayer | None = None
 
-    def __getstate__(self) -> tuple[str, int, int]:
-        return (self.path, self.offset, self.count)
+    def __getstate__(self) -> tuple[str, int, int, str]:
+        return (self.path, self.offset, self.count, self._digest)
 
-    def __setstate__(self, state: tuple[str, int, int]) -> None:
-        self.path, self.offset, self.count = state
+    def __setstate__(self, state: tuple[str, int, int, str]) -> None:
+        self.path, self.offset, self.count, self._digest = state
         self._layer = None
 
     def _resolve(self) -> StoreLayer:
         if self._layer is None:
-            self._layer = open_store(self.path)._layer_at(self.offset, self.count)
+            view = open_store(self.path)
+            self._layer = view._layer_at(self.offset, self.count, self._digest)
         return self._layer
 
     def rects(self) -> list[Rect]:
@@ -664,7 +782,7 @@ class StoreRects:
         return self._resolve().window(window)
 
     def digest(self) -> str:
-        return self._resolve().digest()
+        return self._digest
 
     def __len__(self) -> int:
         return self.count

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from repro.core.report import BaseReport, deprecated_alias
 from repro.geometry import GridIndex, Rect, Region
-from repro.layout.store import StoreLayer, StoreRects
+from repro.layout.store import StoreLayer, StoreRects, run_store
 from repro.litho.hotspots import Hotspot, _merge_across_corners, find_hotspots
 from repro.litho.model import LithoModel
 from repro.litho.process import ProcessWindow
@@ -36,9 +35,6 @@ from repro.parallel import (
     Checkpoint,
     FaultPlan,
     QuarantinedTile,
-    SharedPayload,
-    ShmArena,
-    ShmRects,
     Tile,
     TileCache,
     TileExecutor,
@@ -96,57 +92,33 @@ class FullChipScanReport(BaseReport):
 
 
 class _ScanGeometry:
-    """One layer's canonical rects plus a lazily-built spatial index.
+    """One layer's canonical rects, queried per tile window.
 
-    Shipped to workers instead of the whole-chip :class:`Region`: only
-    the flat rect list travels over the wire (the grid buckets are
-    rebuilt on first use in each process), and every per-tile operation
-    — window clipping, cache-key digesting — queries the index so it
-    touches only the geometry near the tile instead of sweeping the
-    full chip.
-
-    The rect source is one of three shapes: the flat list itself; a
-    :class:`~repro.parallel.ShmRects` handle (after :meth:`shared`
-    repacks it for a pooled run), which pickles as a name and offset
-    and materializes the same list from shared memory on first use in
-    each worker; or — when the scan is store-backed — a
-    :class:`~repro.layout.store.StoreRects` handle, which pickles as
-    ``(path, offset, count)`` and answers window queries straight from
-    the mmapped store without ever materializing the layer.  Every
-    source preserves canonical rect order and the closed-touches window
-    contract, so indexes, clips, and digests are identical throughout.
+    Every per-tile operation — window clipping, cache-key digesting —
+    goes through :meth:`near`, so it touches only the geometry near the
+    tile instead of sweeping the full chip.  The rect source is one of
+    two shapes: the flat list itself (in-process runs), indexed by a
+    lazily-built :class:`~repro.geometry.GridIndex`; or a
+    :class:`~repro.layout.store.StoreRects` handle (store-backed and
+    pooled runs), which pickles as ``(path, offset, count, digest)`` and
+    answers window queries straight from the mmapped store without ever
+    materializing the layer.  Both preserve canonical rect order and
+    the closed-touches window contract, so clips and digests are
+    identical either way.
     """
 
     __slots__ = ("_source", "cell_nm", "_index", "_buf")
 
     def __init__(self, region: "Region | StoreLayer", cell_nm: int = 2048):
+        self._source: list[Rect] | StoreRects
         if isinstance(region, StoreLayer):
-            self._source: list[Rect] | ShmRects | StoreRects = region.handle()
+            # an empty layer has no rect run to hand out
+            self._source = [] if region.is_empty else region.handle()
         else:
             self._source = list(region.rects())
         self.cell_nm = cell_nm
         self._index: GridIndex[Rect] | None = None
         self._buf: list[Rect] = []
-
-    @property
-    def rects(self) -> list[Rect]:
-        source = self._source
-        if isinstance(source, (ShmRects, StoreRects)):
-            return source.rects()
-        return source
-
-    @property
-    def store_backed(self) -> bool:
-        return isinstance(self._source, StoreRects)
-
-    def shared(self, handle: ShmRects) -> "_ScanGeometry":
-        """Clone of this geometry backed by a shared-memory handle."""
-        clone = _ScanGeometry.__new__(_ScanGeometry)
-        clone._source = handle
-        clone.cell_nm = self.cell_nm
-        clone._index = None
-        clone._buf = []
-        return clone
 
     def __getstate__(self):
         return (self._source, self.cell_nm)
@@ -158,19 +130,13 @@ class _ScanGeometry:
 
     def near(self, window: Rect) -> list[Rect]:
         """Canonical rects whose bbox touches ``window`` (a shared
-        buffer, valid until the next call in this process).
-
-        A store-backed source answers from the mmapped file's sorted
-        runs instead of building an index: the candidate set is the
-        same (both apply the closed-touches contract), so counters,
-        clips, and digests downstream are unchanged.
-        """
+        buffer, valid until the next call in this process)."""
         source = self._source
         if isinstance(source, StoreRects):
             return source.window(window)
         if self._index is None:
             self._index = GridIndex(cell_size=self.cell_nm)
-            for r in self.rects:
+            for r in source:
                 self._index.insert(r, r)
         return self._index.query_into(window, self._buf)
 
@@ -215,29 +181,6 @@ class _ScanPayload:
     grid: int | None
     halo_nm: int = 0
     fast_path: bool = True
-
-
-def _share_payload(payload: _ScanPayload) -> SharedPayload | None:
-    """Repack a fast-path payload's rect lists into shared memory.
-
-    Only the small scalar state (model, process window, limits) then
-    travels over the pickle wire; the whole-chip geometry is mapped by
-    each worker from one shared block.  Returns ``None`` — caller ships
-    the payload pickled — when shared memory is unavailable.
-    """
-    geometries = [payload.drawn]
-    if payload.mask is not None:
-        geometries.append(payload.mask)
-    arena = ShmArena.pack([g.rects for g in geometries])
-    if arena is None:
-        return None
-    shared = [g.shared(h) for g, h in zip(geometries, arena.handles)]
-    inner = replace(
-        payload,
-        drawn=shared[0],
-        mask=shared[1] if payload.mask is not None else None,
-    )
-    return SharedPayload(inner, arena)
 
 
 def _scan_tile(payload: _ScanPayload, tile: Tile) -> tuple[list[Hotspot], float]:
@@ -345,7 +288,6 @@ def scan_full_chip(
     resume: bool = False,
     fast_path: bool = True,
     executor: TileExecutor | None = None,
-    sharer: "Callable[[_ScanPayload], SharedPayload | None] | None" = None,
 ) -> FullChipScanReport:
     """Scan an entire layout tile by tile.
 
@@ -382,19 +324,17 @@ def scan_full_chip(
 
     ``executor`` lets a long-lived caller (the verification service)
     supply its own — typically persistent — :class:`TileExecutor`
-    instead of a per-run one; its ``jobs`` takes precedence.  ``sharer``
-    overrides how a pooled run's payload moves into shared memory: the
-    default packs (and unlinks) a fresh arena per run, while a
-    resident-layout session serves a pre-packed, session-owned one.
-    Both hooks leave results and cache keys byte-identical.
+    instead of a per-run one; its ``jobs`` takes precedence.
 
     ``drawn`` (and ``mask``) may be a
     :class:`~repro.layout.store.StoreLayer` instead of a region: the
     scan then runs out of core — workers mmap the layout store
-    read-only and window it per tile, the shm sharer is skipped (the
-    payload is already a constant-size handle), and hotspots, counters,
-    and tile-cache keys are bit-identical to the in-RAM path because
-    the store serves the same canonical rects and digests.
+    read-only and window it per tile — and hotspots, counters, and
+    tile-cache keys are bit-identical to the in-RAM path because the
+    store serves the same canonical rects and digests.  A pooled run
+    (``jobs > 1`` or a ``timeout``) over in-RAM regions takes the same
+    route through a run-scoped store (:func:`~repro.layout.store.run_store`),
+    so workers receive constant-size handles, never geometry.
     """
     t_start = time.perf_counter()
     report = FullChipScanReport()
@@ -463,37 +403,37 @@ def scan_full_chip(
                     owned_by_tile[tile.index] = hit
 
     with span("scan.compute"):
-        # only a pooled run pays the pickle wire; the fast path then
-        # moves its geometry into shared memory so the per-worker
-        # payload stays constant-size as the chip grows.  Cache keys
-        # were already computed above from the in-process payload and
-        # are bit-identical either way.
+        # only a pooled run pays the pickle wire, so only it moves
+        # in-RAM geometry into a run-scoped store.  Cache keys were
+        # already computed above from the in-process payload and are
+        # bit-identical either way.
         tile_executor = executor if executor is not None else TileExecutor(jobs)
-        exec_payload: _ScanPayload | SharedPayload = payload
-        store_backed = (
-            fast_path
-            and payload.drawn.store_backed
-            and (payload.mask is None or payload.mask.store_backed)
-        )
-        if (
-            pending
-            and fast_path
-            and not store_backed  # store handles already pickle tiny
-            and (tile_executor.jobs > 1 or timeout is not None)
-        ):
-            shared = (sharer or _share_payload)(payload)
-            if shared is not None:
-                exec_payload = shared
-        outcome = tile_executor.run(
-            _scan_tile,
-            exec_payload,
-            pending,
-            keys=[t.index for t in pending],
-            timeout=timeout,
-            max_retries=max_retries,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-        )
+        in_ram: dict[tuple[int, int], Region] = {}
+        if pending and fast_path and (tile_executor.jobs > 1 or timeout is not None):
+            in_ram = {
+                key: region
+                for key, region in (((0, 0), drawn), ((1, 0), mask))
+                if isinstance(region, Region)
+            }
+        with run_store(in_ram) as view:
+            exec_payload = payload
+            if view is not None:
+                stored = {key: _ScanGeometry(view.layer(*key)) for key in in_ram}
+                exec_payload = replace(
+                    payload,
+                    drawn=stored.get((0, 0), payload.drawn),
+                    mask=stored.get((1, 0), payload.mask),
+                )
+            outcome = tile_executor.run(
+                _scan_tile,
+                exec_payload,
+                pending,
+                keys=[t.index for t in pending],
+                timeout=timeout,
+                max_retries=max_retries,
+                fault_plan=fault_plan,
+                checkpoint=checkpoint,
+            )
     for tile, value in zip(pending, outcome.results):
         if value is None:  # quarantined: no result for this tile
             continue

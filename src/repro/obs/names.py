@@ -32,9 +32,6 @@ POOL_TIMEOUTS = "pool.timeouts"
 POOL_BISECTIONS = "pool.bisections"
 POOL_QUARANTINED = "pool.quarantined"
 POOL_PAYLOAD_BYTES = "pool.payload_bytes"
-# Gauged (by repro.parallel.shm) when shared-memory transport is
-# unavailable and a run ships its payload pickled instead.
-POOL_SHM_FALLBACK = "pool.shm_fallback"
 # Incremented when a persistent executor serves a run from its warm
 # worker pool instead of forking a fresh one (service mode).
 POOL_WARM_REUSE = "pool.warm_reuse"
@@ -73,8 +70,8 @@ STORE_VERSION_MISMATCH = "store.version_mismatch"
 LAYOUTSTORE_INGESTS = "layoutstore.ingests"
 LAYOUTSTORE_REUSED = "layoutstore.reused"
 LAYOUTSTORE_VERSION_MISMATCH = "layoutstore.version_mismatch"
-# Counted when a store was requested but could not be built or mapped
-# and the caller fell back to the in-RAM parse path.
+# Counted when a session's configured store dir could not hold its
+# store and the session fell back to its private store dir.
 LAYOUTSTORE_FALLBACK = "layoutstore.fallback"
 LAYOUTSTORE_RECTS = "layoutstore.rects"
 LAYOUTSTORE_BYTES = "layoutstore.bytes"

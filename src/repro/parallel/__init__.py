@@ -32,13 +32,13 @@ The shared machinery behind the full-chip litho scan
   ``hang`` / ``abort`` at exact tiles), driven programmatically or via
   ``$REPRO_FAULT_SPEC``, so the retry/timeout/quarantine matrix is
   testable in CI.
-* :class:`ShmArena` / :class:`ShmRects` / :class:`SharedPayload` —
-  zero-copy payload transport: the engines pack their whole-chip rect
-  lists into one ``multiprocessing.shared_memory`` block per run, so
-  what crosses the pickle wire per worker is a constant-size handle
-  instead of the full geometry (``pool.payload_bytes`` stays flat as
-  the chip grows).  Hosts without shared memory fall back to the
-  pickled path with a ``pool.shm_fallback`` gauge.
+* Geometry transport — the engines never pickle whole-chip geometry
+  to workers.  A pooled run ships
+  :class:`~repro.layout.store.StoreRects` handles
+  (``(path, offset, count, digest)``) into a ``layoutstore-v1`` file:
+  the caller's own store, or for in-RAM input a run-scoped one
+  (:func:`repro.layout.store.run_store`) unlinked when the run ends.
+  ``pool.payload_bytes`` therefore stays flat as the chip grows.
 """
 
 from repro.parallel.cache import TileCache, digest_parts
@@ -57,7 +57,6 @@ from repro.parallel.pool import (
     WorkerFailure,
     resolve_jobs,
 )
-from repro.parallel.shm import SharedPayload, ShmArena, ShmRects
 from repro.parallel.tiles import Tile, tile_grid
 
 __all__ = [
@@ -76,7 +75,4 @@ __all__ = [
     "InjectedAbort",
     "AbortRun",
     "QuarantinedTile",
-    "SharedPayload",
-    "ShmArena",
-    "ShmRects",
 ]

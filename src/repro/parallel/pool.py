@@ -1,8 +1,8 @@
 """Worker-pool tile executor.
 
 A thin deterministic fan-out layer over :mod:`multiprocessing`: the
-shared read-only payload (litho model, flattened layer regions, rule
-deck) is shipped to each worker exactly once via the pool initializer,
+shared read-only payload (litho model, layout-store geometry handles,
+rule deck) is shipped to each worker exactly once via the pool initializer,
 work items travel in contiguous chunks, and results come back flattened
 in submission order — so a parallel run produces byte-identical output
 to a serial one.
@@ -60,7 +60,6 @@ from repro.parallel.faults import (
     InjectedAbort,
     QuarantinedTile,
 )
-from repro.parallel.shm import SharedPayload
 
 log = logging.getLogger("repro.parallel")
 
@@ -94,11 +93,6 @@ def _init_worker(
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):
         pass  # non-main thread or exotic platform; terminate() may lag
-    # spawn-style contexts pickle initargs, which already unwraps a
-    # SharedPayload via its __reduce__; fork inherits the object as-is,
-    # so unwrap here too — workers always see the engine's own payload
-    if isinstance(payload, SharedPayload):
-        payload = payload.inner
     _PAYLOAD = payload
     _FAULTS = faults
     if obs_enabled:
@@ -249,9 +243,6 @@ class TileExecutor:
         self.cancel_event: threading.Event | None = None
         self._pool: multiprocessing.pool.Pool | None = None
         self._pool_key: tuple[bytes, bool] | None = None
-        # strong ref to the warm pool's payload: the byte-key is only a
-        # proxy, and holding the object pins the shm handles it names
-        self._pool_payload: Any = None
 
     # -- lifetime -------------------------------------------------------
     def close(self) -> None:
@@ -261,7 +252,6 @@ class TileExecutor:
         only needed (but is always safe) in ``persistent`` mode.
         """
         pool, self._pool, self._pool_key = self._pool, None, None
-        self._pool_payload = None
         if pool is not None:
             pool.terminate()
             pool.join()
@@ -347,7 +337,6 @@ class TileExecutor:
         self.close()
         pool = self._make_pool(payload, faults, self.jobs, wire)
         self._pool, self._pool_key = pool, key
-        self._pool_payload = payload
         return pool
 
     def _retire_pool(self, pool: multiprocessing.pool.Pool, broken: bool) -> None:
@@ -359,7 +348,7 @@ class TileExecutor:
         if self.persistent and not broken and pool is self._pool:
             return
         if pool is self._pool:
-            self._pool, self._pool_key, self._pool_payload = None, None, None
+            self._pool, self._pool_key = None, None
         pool.terminate()
         pool.join()
 
@@ -386,40 +375,29 @@ class TileExecutor:
         ``fn`` mid-run propagates to the caller on every path.
         """
         work = list(items)
-        # a SharedPayload crosses the wire as its (small) inner payload;
-        # in-process execution uses the inner payload directly, and the
-        # executor owns an *owned* arena: the block is unlinked when we
-        # return (a session-owned arena outlives the call untouched)
-        shared = payload if isinstance(payload, SharedPayload) else None
-        arena = shared.arena if shared is not None and shared.owned else None
-        inner = shared.inner if shared is not None else payload
+        if self.jobs <= 1 or len(work) <= 1:
+            return [fn(payload, item) for item in work]
+        registry = get_registry()
+        chunk = self._resolve_chunk(len(work))
+        chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
         try:
-            if self.jobs <= 1 or len(work) <= 1:
-                return [fn(inner, item) for item in work]
-            registry = get_registry()
-            chunk = self._resolve_chunk(len(work))
-            chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
-            try:
-                pool = self._obtain_pool(payload, None, min(self.jobs, len(chunks)))
-            except _POOL_ERRORS as exc:
-                self._fallback(exc)
-                return [fn(inner, item) for item in work]
-            broken = True
-            try:
-                parts = pool.map(partial(_run_chunk, fn), chunks, chunksize=1)
-                broken = False
-            finally:
-                self._retire_pool(pool, broken)
-            # merge worker metric snapshots in submission order: counters and
-            # timers are order-independent, gauges become last-write-wins in
-            # the same order a serial run would have written them
-            for _, snapshot in parts:
-                if snapshot is not None:
-                    registry.merge(snapshot)
-            return [result for part, _ in parts for result in part]
+            pool = self._obtain_pool(payload, None, min(self.jobs, len(chunks)))
+        except _POOL_ERRORS as exc:
+            self._fallback(exc)
+            return [fn(payload, item) for item in work]
+        broken = True
+        try:
+            parts = pool.map(partial(_run_chunk, fn), chunks, chunksize=1)
+            broken = False
         finally:
-            if arena is not None:
-                arena.close()
+            self._retire_pool(pool, broken)
+        # merge worker metric snapshots in submission order: counters and
+        # timers are order-independent, gauges become last-write-wins in
+        # the same order a serial run would have written them
+        for _, snapshot in parts:
+            if snapshot is not None:
+                registry.merge(snapshot)
+        return [result for part, _ in parts for result in part]
 
     # -- fault-tolerant fan-out -----------------------------------------
     def run(
@@ -478,17 +456,6 @@ class TileExecutor:
             max_retries=max_retries,
             backoff_s=backoff_s,
         )
-        # a SharedPayload ships its inner payload over the wire; an owned
-        # arena dies with the run — unlinked on success, abort, interrupt,
-        # and across timeout-driven pool re-creation alike — while a
-        # session-owned one (owned=False) survives for the next request
-        shared_wrap = payload if isinstance(payload, SharedPayload) else None
-        arena = (
-            shared_wrap.arena
-            if shared_wrap is not None and shared_wrap.owned
-            else None
-        )
-        inner = shared_wrap.inner if shared_wrap is not None else payload
         try:
             if pending:
                 use_pool = self.jobs > 1 or timeout is not None
@@ -496,7 +463,7 @@ class TileExecutor:
                 if use_pool:
                     pooled = self._run_pooled(fn, payload, pending, timeout, state)
                 if not pooled:
-                    self._run_inline(fn, inner, pending, state)
+                    self._run_inline(fn, payload, pending, state)
         except InjectedAbort as exc:
             if checkpoint is not None:
                 checkpoint.flush()
@@ -507,9 +474,6 @@ class TileExecutor:
             if checkpoint is not None:
                 checkpoint.flush()
             raise
-        finally:
-            if arena is not None:
-                arena.close()
         if checkpoint is not None:
             checkpoint.flush()
         outcome.results = [results.get(key) for key in item_keys]

@@ -418,35 +418,24 @@ class VerificationService:
         limit = int(params.get("limit", 10))
         session = self.sessions.get(gds)
         tech = self._tech(node)
-        # store-backed sessions serve windowed rects straight from the
-        # mmapped store file: no parse, no flatten, no arena — and the
-        # tile cache keys are interchangeable with the in-RAM path
-        layout_store = session.store_for(params.get("cell"))
-        cell = session.cell(params.get("cell")) if layout_store is None else None
+        # every session is store-backed: requests window rects straight
+        # out of the mmapped store file, workers get constant-size
+        # handles, and tile cache keys match the in-RAM one-shot path
+        layout_store = session.store(params.get("cell") or None)
         if job.kind == "scan":
             layer = resolve_layer(tech, params.get("layer", "M1"))
-            if layout_store is not None:
-                store_layer = layout_store.layer_for(layer)
-                # an empty layer has no rect run to window; its (empty)
-                # region scans identically
-                drawn = store_layer if not store_layer.is_empty else store_layer.region()
-                sharer = None
-            else:
-                drawn = session.region(cell, layer)
-                sharer = session.scan_sharer(cell, layer)
             view = self.store.view(
                 self.store.namespace("scan", __version__, node)
             )
             report = scan_full_chip(
                 self._model(node),
-                drawn,
+                layout_store.layer_for(layer),
                 tile_nm=tile_nm,
                 pinch_limit=tech.metal_width // 2,
                 jobs=self.executor.jobs,
                 cache=view,
                 timeout=chunk_timeout,
                 executor=self.executor,
-                sharer=sharer,
             )
             listing = [str(h) for h in report.hotspots[:limit]]
         elif job.kind == "drc":
@@ -456,31 +445,17 @@ class VerificationService:
                     "drc", __version__, node, tuple(repr(r) for r in deck)
                 )
             )
-            if layout_store is not None:
-                report = run_drc(
-                    None,
-                    deck,
-                    None,
-                    jobs=self.executor.jobs,
-                    tile_nm=tile_nm,
-                    cache=view,
-                    timeout=chunk_timeout,
-                    executor=self.executor,
-                    store=layout_store,
-                )
-            else:
-                report = run_drc(
-                    cell,
-                    deck,
-                    None,
-                    jobs=self.executor.jobs,
-                    tile_nm=tile_nm,
-                    cache=view,
-                    timeout=chunk_timeout,
-                    region_source=session.region_source(cell),
-                    executor=self.executor,
-                    sharer=session.drc_sharer(cell, None),
-                )
+            report = run_drc(
+                None,
+                deck,
+                None,
+                jobs=self.executor.jobs,
+                tile_nm=tile_nm,
+                cache=view,
+                timeout=chunk_timeout,
+                executor=self.executor,
+                store=layout_store,
+            )
             listing = [str(v) for v in report.violations[:limit]]
         else:  # unreachable: submit() validates the kind
             raise BadRequestError(f"unknown job kind {job.kind!r}")

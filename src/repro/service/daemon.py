@@ -15,8 +15,8 @@ host/port flags.
 
 Shutdown is graceful from three directions — the ``shutdown`` wire op,
 SIGTERM, SIGINT — and always the same sequence: stop accepting, cancel
-queued jobs, let the in-flight job finish, release arenas and the
-worker pool, remove the state file.
+queued jobs, let the in-flight job finish, release the worker pool
+and the session stores, remove the state file.
 """
 
 from __future__ import annotations

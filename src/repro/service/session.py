@@ -1,31 +1,28 @@
-"""Resident layout sessions: load a GDSII once, serve many requests.
+"""Resident layout sessions: ingest a GDSII once, serve many requests.
 
 The one-shot CLI pays the full cost — parse the GDSII, flatten the
-hierarchy, canonicalize each layer, pack geometry into shared memory —
-on *every* invocation, which dwarfs the incremental tile work the cache
-makes cheap.  A :class:`LayoutSession` pays it once: the layout, the
-per-layer canonical regions, and the packed shared-memory arenas are
-all cached for the life of the session, so a verify request against a
-warm session is queue + dirty-tile simulation and nothing else.
+hierarchy, canonicalize each layer — on *every* invocation, which
+dwarfs the incremental tile work the cache makes cheap.  A
+:class:`LayoutSession` pays it once: the first request for a (file,
+cell) streams the GDSII into an out-of-core layout store
+(:mod:`repro.layout.store`), and every request after that windows
+rects straight out of the mmapped file.  Pool workers receive
+``(path, offset, count, digest)`` handles into the same file, so the
+warm worker pool is reused while the layout is unchanged and retired
+as soon as an edit changes a layer's digest.
 
-Sessions hand the engines *unowned* :class:`~repro.parallel.shm.SharedPayload`
-wrappers (``owned=False``): the executor maps the same arena into the
-warm worker pool on every request and leaves the block alone when the
-run ends; the session unlinks its arenas on :meth:`close` or reload.
+Where the stores live: with a ``store_dir`` (``repro serve
+--session-store-dir``) the files persist there, named by a hash of the
+layout path (and cell), so a restarted daemon re-maps them —
+``layoutstore.reused`` — instead of re-ingesting.  Without one, or when
+the configured dir is unusable (counted as ``layoutstore.fallback``),
+the :class:`SessionManager` ingests into a private temp dir it removes
+on :meth:`~SessionManager.close`.
 
 Staleness is stat-based: :class:`SessionManager` re-stats the file per
 request and reloads when size or mtime changed — an edited layout gets
-a fresh session (and fresh arenas, hence new cache keys for dirty
-tiles) on its next request.
-
-With a ``store_dir``, a session is backed by an out-of-core layout
-store instead (:mod:`repro.layout.store`): the GDSII is streamed once
-into a cached ``.lstore`` file, requests window rects straight out of
-the mmap, and the session never materializes the layout at all.  The
-store file outlives the daemon, so a restarted service re-maps it —
-``layoutstore.reused`` — instead of re-parsing and re-packing.  Any
-failure to build or map the store falls back to the classic in-RAM
-parse (``layoutstore.fallback``), with identical results.
+a fresh session, re-ingested on its next request (hence new digests,
+and new cache keys for dirty tiles).
 """
 
 from __future__ import annotations
@@ -33,22 +30,17 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import shutil
+import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
-from typing import Any, Callable
+from dataclasses import dataclass, fields
+from typing import Any
 
-from repro.drc.engine import _DrcPayload, _SharedLayerRegions, _share_drc_payload
-from repro.gdsii import read_gds
 from repro.gdsii.records import GdsFormatError
-from repro.geometry import Rect, Region
 from repro.layout import Layer
-from repro.layout.cell import Cell
-from repro.layout.library import Layout
-from repro.layout.store import LayoutStoreError, StoreView, ensure_store
-from repro.litho.fullchip import _ScanGeometry, _ScanPayload, _share_payload
+from repro.layout.store import LayoutStoreError, StoreView, close_store, ensure_store
 from repro.obs import get_registry, names
-from repro.parallel.shm import ShmArena, SharedPayload
 from repro.service.jobs import BadRequestError
 
 log = logging.getLogger("repro.service")
@@ -81,214 +73,82 @@ class SessionKey:
 
 
 class LayoutSession:
-    """One resident layout: parsed cells, cached regions, packed arenas.
+    """One resident layout: one mapped layout store per requested cell.
 
-    All caches are keyed so that a request can only ever hit geometry
-    derived from this exact file version; the manager retires the whole
-    session (arenas included) when the file changes.
+    Stores go to ``store_dir`` when set and usable, otherwise to the
+    manager's ``private_dir``.
     """
 
-    def __init__(self, key: SessionKey, store_dir: str | None = None) -> None:
+    def __init__(self, key: SessionKey, store_dir: str | None, private_dir: str) -> None:
         self.key = key
+        self._store_dir = store_dir
+        self._private_dir = private_dir
         self._lock = threading.Lock()
-        self._regions: dict[tuple[str, str, str], Region] = {}
-        # (kind, cell, discriminator) -> (arena, parent-side shared object)
-        self._arenas: dict[tuple[str, ...], tuple[ShmArena, Any]] = {}
-        self._closed = False
-        self._layout: Layout | None = None
-        self.store_view: StoreView | None = None
-        if store_dir is not None:
-            self.store_view = self._open_store(store_dir)
-        if self.store_view is None:
-            # classic eager parse: first-request latency stays where it
-            # always was when no store is in play
-            self._layout = read_gds(key.path)
+        self._stores: dict[str | None, StoreView] = {}
+        self._private: list[str] = []
 
-    def _open_store(self, store_dir: str) -> StoreView | None:
-        """Map (building if needed) this layout's cached store file.
+    def store(self, cell: str | None = None) -> StoreView:
+        """The mapped store for ``cell`` (the top cell when ``None``),
+        ingested on first use.
 
-        The file name is a hash of the absolute path, so a re-ingested
-        layout overwrites its own store in place and a restarted daemon
-        finds the previous run's file.  Any failure — unreadable dir,
-        malformed GDSII, foreign or stale store that cannot be rebuilt —
-        drops to the in-RAM path rather than failing the session.
+        The store holds every layer of the cell, so its extent is the
+        cell's bbox — the same tile grid the in-RAM engines would cut.
+        A malformed file or an unknown cell is a :class:`BadRequestError`.
         """
-        digest = hashlib.sha256(self.key.path.encode("utf-8")).hexdigest()[:16]
-        store_path = os.path.join(store_dir, f"{digest}.lstore")
-        try:
-            os.makedirs(store_dir, exist_ok=True)
-            return ensure_store(self.key.path, store_path)
-        except (LayoutStoreError, GdsFormatError, OSError) as exc:
-            get_registry().inc(names.LAYOUTSTORE_FALLBACK)
-            log.warning(
-                "layout store unusable for %s (%s); falling back to in-RAM parse",
-                self.key.path,
-                exc,
-            )
-            return None
-
-    @property
-    def layout(self) -> Layout:
-        """The parsed layout, materialized on first use.
-
-        Store-backed sessions serve requests without ever touching this;
-        it parses lazily only when a request needs the hierarchy (an
-        explicit non-top cell, or a store that went unusable).
-        """
-        # double-checked locking: the unlocked read is deliberate — the
-        # reference is written exactly once (under the lock below) and
-        # never torn; after that, every request skips the lock entirely
-        layout = self._layout  # repro-lint: disable=RL008
-        if layout is None:
-            with self._lock:
-                if self._layout is None:
-                    self._layout = read_gds(self.key.path)
-                layout = self._layout
-        return layout
-
-    def store_for(self, cell_name: str | None) -> StoreView | None:
-        """The session's store view, if it covers this cell selection.
-
-        The store is ingested for the top cell; a request naming any
-        other cell (or naming the top cell of a store that failed to
-        map) gets ``None`` and takes the in-RAM path.
-        """
-        view = self.store_view
-        if view is None:
-            return None
-        if cell_name is not None and cell_name != view.cell_name:
-            return None
-        return view
-
-    def cell(self, name: str | None = None) -> Cell:
-        try:
-            if name:
-                return self.layout.cell(name)
-            return self.layout.top_cell()
-        except (KeyError, ValueError) as exc:
-            raise BadRequestError(str(exc)) from exc
-
-    def region(self, cell: Cell, layer: Layer, window: Rect | None = None) -> Region:
-        """``cell.region(layer, window)``, cached per session."""
-        cache_key = (cell.name, repr(layer), repr(window))
         with self._lock:
-            region = self._regions.get(cache_key)
-        if region is None:
-            region = cell.region(layer, window)
-            with self._lock:
-                region = self._regions.setdefault(cache_key, region)
-        return region
+            view = self._stores.get(cell)
+            if view is None:
+                try:
+                    view = self._ingest(cell)
+                except GdsFormatError as exc:
+                    raise BadRequestError(
+                        f"cannot load layout {self.key.path!r}: {exc}"
+                    ) from exc
+                self._stores[cell] = view
+            return view
 
-    def region_source(
-        self, cell: Cell
-    ) -> Callable[[Layer, Rect | None], Region]:
-        """A ``region_source`` hook for :func:`repro.drc.engine.run_drc`
-        serving this session's cached regions."""
-
-        def source(layer: Layer, window: Rect | None) -> Region:
-            return self.region(cell, layer, window)
-
-        return source
-
-    # -- shared-memory residency ----------------------------------------
-    def scan_sharer(
-        self, cell: Cell, layer: Layer
-    ) -> Callable[[_ScanPayload], SharedPayload | None]:
-        """A ``sharer`` for :func:`~repro.litho.fullchip.scan_full_chip`
-        that reuses one packed arena per (cell, layer) for the session's
-        lifetime.
-
-        Valid because the payload's drawn geometry is rebuilt from this
-        session's cached :class:`Region` on every request — same
-        canonical rect order, so substituting the resident shared
-        geometry is bit-identical to packing afresh.  Payloads the
-        resident arena cannot represent (mask layers, legacy full-sweep
-        regions) fall back to the per-run packer.
-        """
-        arena_key = ("scan", cell.name, repr(layer))
-
-        def sharer(payload: _ScanPayload) -> SharedPayload | None:
-            if payload.mask is not None or not isinstance(
-                payload.drawn, _ScanGeometry
-            ):
-                return _share_payload(payload)
-            with self._lock:
-                cached = self._arenas.get(arena_key)
-            if cached is None:
-                arena = ShmArena.pack([payload.drawn.rects])
-                if arena is None:
-                    return None
-                geometry = payload.drawn.shared(arena.handles[0])
-                with self._lock:
-                    if arena_key in self._arenas:
-                        arena.close()  # lost a race: use the winner's
-                    else:
-                        self._arenas[arena_key] = (arena, geometry)
-                    cached = self._arenas[arena_key]
-            arena, geometry = cached
-            return SharedPayload(
-                replace(payload, drawn=geometry), arena, owned=False
-            )
-
-        return sharer
-
-    def drc_sharer(
-        self, cell: Cell, window: Rect | None
-    ) -> Callable[[_DrcPayload], SharedPayload | None]:
-        """A ``sharer`` for :func:`~repro.drc.engine.run_drc` reusing
-        one packed arena per (cell, window, layer set)."""
-
-        def sharer(payload: _DrcPayload) -> SharedPayload | None:
-            if isinstance(payload.regions, _SharedLayerRegions):
-                return _share_drc_payload(payload)
-            layers = sorted(payload.regions, key=repr)
-            arena_key = (
-                "drc",
-                cell.name,
-                repr(window),
-                *(repr(layer) for layer in layers),
-            )
-            with self._lock:
-                cached = self._arenas.get(arena_key)
-            if cached is None:
-                arena = ShmArena.pack(
-                    [list(payload.regions[layer].rects()) for layer in layers]
+    def _ingest(self, cell: str | None) -> StoreView:
+        ident = self.key.path if cell is None else f"{self.key.path}\0{cell}"
+        name = hashlib.sha256(ident.encode("utf-8")).hexdigest()[:16] + ".lstore"
+        if self._store_dir is not None:
+            try:
+                os.makedirs(self._store_dir, exist_ok=True)
+                return ensure_store(
+                    self.key.path, os.path.join(self._store_dir, name), cell=cell
                 )
-                if arena is None:
-                    return None
-                handles = dict(zip(layers, arena.handles))
-                with self._lock:
-                    if arena_key in self._arenas:
-                        arena.close()
-                    else:
-                        self._arenas[arena_key] = (arena, handles)
-                    cached = self._arenas[arena_key]
-            arena, handles = cached
-            store = _SharedLayerRegions(handles, payload.regions)
-            return SharedPayload(
-                replace(payload, regions=store), arena, owned=False
-            )
-
-        return sharer
+            except (LayoutStoreError, OSError) as exc:
+                get_registry().inc(names.LAYOUTSTORE_FALLBACK)
+                log.warning(
+                    "layout store dir %s unusable for %s (%s); using a private store",
+                    self._store_dir,
+                    self.key.path,
+                    exc,
+                )
+        path = os.path.join(self._private_dir, name)
+        self._private.append(path)
+        return ensure_store(self.key.path, path, cell=cell)
 
     def close(self) -> None:
-        """Unlink every resident arena (idempotent)."""
+        """Unmap this session's stores and delete its private ones
+        (idempotent); stores in a configured dir persist."""
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            arenas = [arena for arena, _ in self._arenas.values()]
-            self._arenas.clear()
-        for arena in arenas:
-            arena.close()
+            views, self._stores = list(self._stores.values()), {}
+            private, self._private = self._private, []
+        for view in views:
+            close_store(view)
+        for path in private:
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
 
 
 class SessionManager:
     """LRU-bounded pool of resident sessions with stat-based reload.
 
-    ``store_dir`` switches new sessions to the out-of-core layout store
-    (see :class:`LayoutSession`); store files live there keyed by a hash
-    of the layout path and survive manager — and daemon — restarts.
+    ``store_dir`` is where session stores persist, keyed by a hash of
+    the layout path, across manager — and daemon — restarts.  Without
+    it they go to a private temp dir that :meth:`close` removes.
     """
 
     def __init__(self, max_sessions: int = 4, store_dir: str | None = None) -> None:
@@ -298,6 +158,14 @@ class SessionManager:
         self.store_dir = store_dir
         self._sessions: OrderedDict[str, LayoutSession] = OrderedDict()
         self._lock = threading.Lock()
+        self._private_dir: str | None = None
+
+    def _private(self) -> str:
+        """The private store dir, created on first use."""
+        with self._lock:
+            if self._private_dir is None:
+                self._private_dir = tempfile.mkdtemp(prefix="repro-sessions-")
+            return self._private_dir
 
     def get(self, path: str) -> LayoutSession:
         """The resident session for ``path``, loading or reloading as
@@ -320,7 +188,7 @@ class SessionManager:
         else:
             registry.inc(names.SERVICE_SESSIONS_LOADED)
             log.info("loading layout %s", key.path)
-        session = LayoutSession(key, store_dir=self.store_dir)
+        session = LayoutSession(key, self.store_dir, self._private())
         evicted: list[LayoutSession] = []
         with self._lock:
             self._sessions[key.path] = session
@@ -334,8 +202,12 @@ class SessionManager:
         return session
 
     def close(self) -> None:
+        """Close every session and remove the private store dir."""
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
+            private, self._private_dir = self._private_dir, None
         for session in sessions:
             session.close()
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)

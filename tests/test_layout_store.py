@@ -4,21 +4,25 @@ The tentpole contract: a scan or DRC fed rects from the mmapped
 ``layoutstore-v1`` file produces bit-identical reports and
 interchangeable tile-cache entries vs. the in-RAM flatten, at
 ``jobs=1`` and ``jobs=4``; worker payloads shrink to ``(path, offset,
-count)`` handles; and service sessions backed by a store directory
-survive restarts without re-parsing the GDSII.
+count, digest)`` handles — for in-RAM input too, through a run-scoped
+store that never outlives its run; and service sessions backed by a
+store directory survive restarts without re-parsing the GDSII.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import pickle
+import tempfile
 
 import pytest
 
 from repro.designgen import LogicBlockSpec, generate_logic_block
 from repro.gdsii import write_gds
 from repro.geometry import Rect, Region
+from repro.layout import Cell, Layout
 from repro.layout.store import (
     LayoutStoreError,
     LayoutStoreVersionError,
@@ -26,11 +30,11 @@ from repro.layout.store import (
     ensure_store,
     ingest,
     open_store,
+    write_store,
 )
 from repro.litho import LithoModel, scan_full_chip
 from repro.obs import MetricsRegistry, names, sample_peak_rss, set_registry
-from repro.parallel import TileCache
-from repro.parallel import shm as shm_mod
+from repro.parallel import AbortRun, FaultPlan, TileCache, TileExecutor
 
 
 @pytest.fixture
@@ -191,7 +195,7 @@ class TestScanEquivalence:
         assert second.cache_hit_rate == 1.0
         assert second.hotspots == first.hotspots
 
-    def test_store_payload_is_tiny(self, store_setup, tech45, registry, monkeypatch):
+    def test_store_payload_is_tiny(self, store_setup, tech45, registry):
         block, _, view = store_setup
         model = LithoModel(tech45.litho)
         layer = tech45.layers.metal1
@@ -200,13 +204,177 @@ class TestScanEquivalence:
         scan_full_chip(model, view.layer_for(layer), **kwargs)
         store_bytes = registry.gauge_value(names.POOL_PAYLOAD_BYTES)
         registry.reset()
-        monkeypatch.setenv(shm_mod.ENV_DISABLE, "1")
-        scan_full_chip(model, block.top.region(layer), **kwargs)
-        pickled_bytes = registry.gauge_value(names.POOL_PAYLOAD_BYTES)
-        assert store_bytes is not None and pickled_bytes is not None
+        # an in-RAM pooled run ships handles into a run-scoped store
+        region = block.top.region(layer)
+        scan_full_chip(model, region, **kwargs)
+        in_ram_bytes = registry.gauge_value(names.POOL_PAYLOAD_BYTES)
+        pickled_bytes = len(pickle.dumps(list(region.rects())))
+        assert store_bytes is not None and in_ram_bytes is not None
         # the whole wire payload is a handle and scan params, not rects
-        assert store_bytes < 2048
-        assert store_bytes < pickled_bytes
+        for wire_bytes in (store_bytes, in_ram_bytes):
+            assert wire_bytes < 2048
+            assert wire_bytes < pickled_bytes
+
+    def test_pooled_scan_beyond_int32_matches_serial(self, store_setup, tech45, caplog):
+        # a run-scoped store cannot hold these coordinates: the pooled
+        # run ships the in-RAM payload pickled, with one warning
+        block, _, _ = store_setup
+        model = LithoModel(tech45.litho)
+        far = block.top.region(tech45.layers.metal1).translated(2**32, 0)
+        kwargs = dict(tile_nm=1500, pinch_limit=tech45.metal_width // 2)
+        serial = scan_full_chip(model, far, jobs=1, **kwargs)
+        with caplog.at_level("WARNING", logger="repro.layout.store"):
+            pooled = scan_full_chip(model, far, jobs=2, **kwargs)
+        assert pooled.hotspots == serial.hotspots
+        assert pooled.tiles == serial.tiles > 1
+        assert serial.hotspots
+        warnings = [r for r in caplog.records if "run-scoped" in r.getMessage()]
+        assert len(warnings) == 1
+
+    def test_warm_pool_never_serves_a_rewritten_store(self, tech45, tmp_path):
+        """Re-ingesting a store in place with the same rect count must
+        retire a persistent executor's warm pool: the handles name the
+        layer digest, so the wire payload changes with the content."""
+        width = tech45.metal_width
+        m1 = tech45.layers.metal1
+
+        def lines(narrow: bool) -> Layout:
+            cell = Cell("TOP")
+            for i in range(12):
+                y = i * tech45.metal_pitch * 2
+                h = width // 3 if narrow and i == 5 else width
+                cell.add_rect(m1, Rect(0, y, 3000, y + h))
+            layout = Layout("LIB")
+            layout.add_cell(cell)
+            return layout
+
+        gds, path = str(tmp_path / "lines.gds"), str(tmp_path / "lines.lstore")
+        model = LithoModel(tech45.litho)
+        kwargs = dict(tile_nm=2000, pinch_limit=width // 2, jobs=2)
+        write_gds(lines(False), gds)
+        with TileExecutor(2, persistent=True) as executor:
+            a = scan_full_chip(
+                model, ingest(gds, path).layer_for(m1), executor=executor, **kwargs
+            )
+            write_gds(lines(True), gds)
+            view = ingest(gds, path)
+            assert view.layer_for(m1).count == 12  # same slot, new content
+            b = scan_full_chip(
+                model, view.layer_for(m1), executor=executor, **kwargs
+            )
+        fresh = scan_full_chip(model, view.layer_for(m1), **{**kwargs, "jobs": 1})
+        assert len(a.hotspots) == 24
+        assert b.hotspots == fresh.hotspots
+        assert len(b.hotspots) == 23
+
+    def test_handle_of_a_rewritten_layer_is_an_error(self, tmp_path):
+        path = str(tmp_path / "rw.lstore")
+        region = Region([Rect(0, 0, 100, 100)])
+        handle = write_store({(1, 0): region}, path).layer(1, 0).handle()
+        write_store({(1, 0): Region([Rect(0, 0, 100, 50)])}, path)
+        clone = pickle.loads(pickle.dumps(handle))
+        with pytest.raises(LayoutStoreError):
+            clone.rects()
+
+
+class TestWriteStore:
+    def test_round_trips_regions_with_digests(self, store_setup, tech45, tmp_path):
+        block, _, _ = store_setup
+        layers = {
+            (10, 0): block.top.region(tech45.layers.metal1),
+            (2, 0): block.top.region(tech45.layers.poly),
+            (7, 0): Region(),
+        }
+        view = write_store(layers, str(tmp_path / "w.lstore"))
+        for key, region in layers.items():
+            stored = view.layer(*key)
+            assert stored.rects() == list(region.rects())
+            assert stored.digest() == region.digest()
+        assert view.layer(7, 0).is_empty
+        assert not glob.glob(str(tmp_path / "*.tmp"))
+
+    def test_int32_overflow_is_a_typed_error(self, tmp_path):
+        with pytest.raises(LayoutStoreError):
+            write_store({(1, 0): Region([Rect(0, 0, 2**40, 10)])}, str(tmp_path / "x"))
+        assert os.listdir(tmp_path) == []
+
+
+class TestRunScopedStoreLifecycle:
+    """A pooled in-RAM run's transport file never outlives the run."""
+
+    @pytest.fixture
+    def tmpdir_lstores(self, tmp_path, monkeypatch):
+        """Lists ``*.lstore*`` left in the temp dir, after checking that
+        the run really wrote a transport store there."""
+        from repro.layout import store as store_mod
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        written: list[str] = []
+        real_write = store_mod.write_store
+
+        def recording_write(layers, path):
+            written.append(os.fspath(path))
+            return real_write(layers, path)
+
+        monkeypatch.setattr(store_mod, "write_store", recording_write)
+
+        def leftovers() -> list[str]:
+            assert written and all(p.startswith(str(tmp_path)) for p in written)
+            return sorted(glob.glob(str(tmp_path / "*.lstore*")))
+
+        return leftovers
+
+    @pytest.fixture(scope="class")
+    def m1(self, small_block, tech45):
+        return small_block.top.region(tech45.layers.metal1)
+
+    def _scan(self, tech45, m1, **kwargs):
+        model = LithoModel(tech45.litho)
+        limit = tech45.metal_width // 2
+        return scan_full_chip(model, m1, tile_nm=2000, pinch_limit=limit, jobs=2, **kwargs)
+
+    def test_success(self, tech45, m1, tmpdir_lstores):
+        report = self._scan(tech45, m1)
+        assert report.tiles_computed == report.tiles > 1
+        assert tmpdir_lstores() == []
+
+    def test_drc_success(self, small_block, tech45, tmpdir_lstores):
+        from repro.drc import run_drc
+
+        report = run_drc(small_block.top, tech45.rules.minimum(), jobs=2, tile_nm=2500)
+        assert report.tiles_computed == report.tiles
+        assert tmpdir_lstores() == []
+
+    def test_quarantine(self, tech45, m1, tmpdir_lstores):
+        plan = FaultPlan.parse("tile:0:fail")
+        report = self._scan(tech45, m1, fault_plan=plan, max_retries=0)
+        assert len(report.quarantined) == 1
+        assert tmpdir_lstores() == []
+
+    def test_abort(self, tech45, m1, tmpdir_lstores):
+        with pytest.raises(AbortRun):
+            self._scan(tech45, m1, fault_plan=FaultPlan.parse("tile:1:abort"))
+        assert tmpdir_lstores() == []
+
+    def test_timeout_recreates_pool(self, tech45, m1, tmpdir_lstores, registry):
+        # the timeout sits far above one tile's compute (~0.2 s), so on
+        # a loaded host only the hung chunk can reach it
+        plan = FaultPlan.parse("chunk:0:hang:60")
+        report = self._scan(tech45, m1, fault_plan=plan, timeout=5.0, max_retries=0)
+        assert registry.counter(names.POOL_TIMEOUTS) == 1
+        assert "timeout" in report.quarantined[0].error
+        assert tmpdir_lstores() == []
+
+    def test_session_manager_close_removes_private_dir(self, store_setup):
+        from repro.service import SessionManager
+
+        _, gds, _ = store_setup
+        manager = SessionManager()
+        view = manager.get(gds).store()
+        private = os.path.dirname(view.path)
+        assert os.path.isfile(view.path)
+        manager.close()
+        assert not os.path.exists(private)
 
 
 class TestDrcEquivalence:

@@ -620,8 +620,8 @@ class TestRL008:
 
 class TestRL009:
     def test_exception_path_leak_flagged(self, tmp_path):
-        # the ShmArena.pack bug class: created, then a later statement
-        # in the same try fails and the handler forgets the segment
+        # a segment created, then a later statement in the same try
+        # fails and the handler forgets it
         src = (
             "def pack(data):\n"
             "    try:\n"

@@ -256,7 +256,7 @@ class TestSessions:
         manager = SessionManager()
         session = manager.get(gds_path)
         with pytest.raises(BadRequestError):
-            session.cell("NOPE")
+            session.store("NOPE")
         manager.close()
 
 
@@ -279,26 +279,70 @@ class TestServiceLifecycle:
             assert again.result["findings"] == result["findings"]
             assert service.store.hits >= again.result["tiles"]
 
+    @pytest.mark.parametrize("kind", ["scan", "drc"])
     def test_served_scan_is_bit_identical_to_oneshot_api(
-        self, gds_path, tech45, small_block
+        self, gds_path, tech45, small_block, kind
     ):
         with VerificationService(jobs=1) as service:
             job = ServiceClient(service).run(
-                "scan", {"gds": gds_path, "tile": 2000, "limit": 10_000}
+                kind, {"gds": gds_path, "tile": 2000, "limit": 10_000}
             )
             assert job.state is JobState.DONE
             cell = small_block.layout.top_cell()
-            region = cell.region(resolve_layer(tech45, "M1"))
-            direct = api.scan_full_chip(
-                tech45,
-                region,
-                tile_nm=2000,
-                pinch_limit=tech45.metal_width // 2,
-            )
-            assert [str(h) for h in job.report.hotspots] == [
-                str(h) for h in direct.hotspots
-            ]
-            assert job.result["listing"] == [str(h) for h in direct.hotspots]
+            if kind == "scan":
+                region = cell.region(resolve_layer(tech45, "M1"))
+                direct = api.scan_full_chip(
+                    tech45,
+                    region,
+                    tile_nm=2000,
+                    pinch_limit=tech45.metal_width // 2,
+                )
+                found, served = direct.hotspots, job.report.hotspots
+            else:
+                direct = api.run_drc(
+                    cell, tech45.rules.minimum(), jobs=1, tile_nm=2000
+                )
+                found, served = direct.violations, job.report.violations
+            assert [str(f) for f in served] == [str(f) for f in found]
+            assert job.result["listing"] == [str(f) for f in found]
+
+    def test_warm_pool_reused_until_the_layout_changes(
+        self, tmp_path, small_block, tech45
+    ):
+        from repro.geometry import Rect
+        from repro.layout import Layout
+
+        gds = str(tmp_path / "warm.gds")
+        write_gds(small_block.layout, gds)
+        fresh = MetricsRegistry(enabled=True)
+        previous = set_registry(fresh)
+        try:
+            with VerificationService(jobs=2) as service:
+                client = ServiceClient(service)
+                client.run("scan", {"gds": gds, "tile": 2000})
+                # a new tiling misses the result store but ships the
+                # byte-identical payload: the warm pool serves it
+                client.run("scan", {"gds": gds, "tile": 3000})
+                assert fresh.counter(names.POOL_WARM_REUSE) == 1
+                pool = service.executor._pool
+                assert pool is not None
+                edited = small_block.top.flattened(small_block.top.name)
+                bbox = edited.bbox
+                edited.add_rect(
+                    tech45.layers.metal1,
+                    Rect(bbox.x0, bbox.y0, bbox.x0 + 400, bbox.y0 + 400),
+                )
+                lib = Layout("LIB")
+                lib.add_cell(edited)
+                write_gds(lib, gds)
+                os.utime(gds, ns=(1, 1))  # a surely-new stat signature
+                job = client.run("scan", {"gds": gds, "tile": 3000})
+                assert job.state is JobState.DONE
+                assert job.result["tiles_computed"] >= 1
+                assert fresh.counter(names.POOL_WARM_REUSE) == 1
+                assert service.executor._pool is not pool
+        finally:
+            set_registry(previous)
 
     def test_drc_job_reuses_store_on_resubmit(self, gds_path):
         with VerificationService(jobs=1) as service:

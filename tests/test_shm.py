@@ -1,25 +1,30 @@
-"""Zero-copy shared-memory payload transport.
+"""Shared-memory payload transport: workers mmap a run-scoped store.
 
-The tentpole contract: a pooled scan/DRC run that ships its geometry
-through ``multiprocessing.shared_memory`` produces bit-identical
-results and interchangeable tile-cache entries vs. the pickled-payload
-engine, its wire payload stays small, and hosts without shared memory
-degrade to the pickled path (``pool.shm_fallback``) with identical
-results.
+The contract: a pooled scan/DRC run over in-RAM regions ships its
+geometry as constant-size store handles — the workers map the same
+file pages read-only — and produces bit-identical results and
+interchangeable tile-cache entries vs. the pickled payload it falls
+back to when no store can be written (a coordinate beyond int32, a
+big-endian host, an unwritable temp dir).
 """
 
 from __future__ import annotations
 
+import glob
+import logging
+import os
 import pickle
+import tempfile
 
 import pytest
 
 from repro.designgen import LogicBlockSpec, generate_logic_block
 from repro.geometry import Rect, Region
+from repro.layout import store as store_mod
+from repro.layout.store import LayoutStoreError, StoreRects, run_store, write_store
 from repro.litho import LithoModel, scan_full_chip
 from repro.obs import MetricsRegistry, names, set_registry
-from repro.parallel import SharedPayload, ShmArena, ShmRects, TileCache
-from repro.parallel import shm as shm_mod
+from repro.parallel import TileCache
 
 
 @pytest.fixture
@@ -39,144 +44,127 @@ def scan_setup(tech45, stdlib45):
     return tech45, model, m1
 
 
+@pytest.fixture
+def store_usable(monkeypatch):
+    """``store_usable(False)`` makes every run-scoped store fail as on a
+    big-endian host, so a pooled run ships its payload pickled;
+    ``store_usable(True)`` restores the real host check."""
+    real_check = store_mod._check_host
+
+    def refuse() -> None:
+        raise LayoutStoreError("layout stores require a little-endian host")
+
+    def toggle(usable: bool) -> None:
+        monkeypatch.setattr(store_mod, "_check_host", real_check if usable else refuse)
+
+    return toggle
+
+
 RECTS_A = [Rect(0, 0, 100, 50), Rect(0, 50, 40, 90), Rect(200, 0, 260, 30)]
-RECTS_B = [Rect(-70, -20, -10, 5)]
 
 
 class TestArenaAndHandles:
-    def test_pack_preserves_lists_and_order(self):
-        arena = ShmArena.pack([RECTS_A, [], RECTS_B])
-        assert arena is not None
-        try:
-            assert [h.rects() for h in arena.handles] == [RECTS_A, [], RECTS_B]
-        finally:
-            arena.close()
+    def test_unpickled_handle_reattaches_with_plain_ints(self, tmp_path):
+        region = Region([Rect(i * 100, 0, i * 100 + 50, 50 + i) for i in range(40)])
+        view = write_store({(1, 0): region}, str(tmp_path / "h.lstore"))
+        handle = view.layer(1, 0).handle()
+        assert isinstance(handle, StoreRects)
+        wire = pickle.dumps(handle)
+        # the wire form is the (path, offset, count, digest) handle only —
+        # far smaller than the pickled rect list itself
+        assert len(wire) < len(pickle.dumps(list(region.rects())))
+        clone = pickle.loads(wire)
+        assert clone._layer is None  # lazily mapped
+        rebuilt = clone.rects()
+        assert rebuilt == list(region.rects())
+        for r in rebuilt:
+            assert type(r.x0) is int and type(r.y1) is int
 
-    def test_unpickled_handle_reattaches_with_plain_ints(self):
-        arena = ShmArena.pack([RECTS_A])
-        assert arena is not None
-        try:
-            handle = arena.handles[0]
-            wire = pickle.dumps(handle)
-            # the wire form is the (name, offset, count) handle only —
-            # far smaller than the pickled rect list itself
-            assert len(wire) < len(pickle.dumps(RECTS_A))
-            clone = pickle.loads(wire)
-            assert clone._rects is None  # lazily materialized
-            rebuilt = clone.rects()
-            assert rebuilt == RECTS_A
-            for r in rebuilt:
-                assert type(r.x0) is int and type(r.y1) is int
-        finally:
-            arena.close()
-
-    def test_shared_payload_pickles_as_inner(self):
-        arena = ShmArena.pack([RECTS_A])
-        assert arena is not None
-        try:
-            inner = {"geometry": arena.handles[0], "limit": 25}
-            wrapped = pickle.loads(pickle.dumps(SharedPayload(inner, arena)))
-            assert not isinstance(wrapped, SharedPayload)
-            assert wrapped["limit"] == 25
-            assert isinstance(wrapped["geometry"], ShmRects)
-        finally:
-            arena.close()
-
-    def test_close_is_idempotent(self):
-        arena = ShmArena.pack([RECTS_A])
-        assert arena is not None
-        arena.close()
-        arena.close()  # second unlink of a gone segment must not raise
-
-    def test_region_from_canonical_rects_roundtrip(self):
+    def test_region_from_canonical_rects_roundtrip(self, tmp_path):
         region = Region([Rect(0, 0, 300, 100), Rect(0, 50, 100, 400), Rect(250, 80, 420, 130)])
         rebuilt = Region.from_canonical_rects(list(region.rects()))
         assert rebuilt == region
         assert rebuilt.digest() == region.digest()
+        # the rects a worker reads back from the store rebuild it too
+        view = write_store({(1, 0): region}, str(tmp_path / "c.lstore"))
+        mapped = Region.from_canonical_rects(view.layer(1, 0).rects())
+        assert mapped == region
+        assert mapped.digest() == region.digest()
 
 
 class TestFallbacks:
-    def test_int32_overflow_falls_back(self, registry):
-        arena = ShmArena.pack([[Rect(0, 0, 2**40, 10)]])
-        assert arena is None
-        assert registry.gauge_value(names.POOL_SHM_FALLBACK) == 1
-
-    def test_env_kill_switch_falls_back(self, registry, monkeypatch):
-        monkeypatch.setenv(shm_mod.ENV_DISABLE, "1")
-        assert not shm_mod.available()
-        assert ShmArena.pack([RECTS_A]) is None
-        assert registry.gauge_value(names.POOL_SHM_FALLBACK) == 1
-
-    def test_missing_shared_memory_module_falls_back(self, registry, monkeypatch):
-        monkeypatch.setattr(shm_mod, "_shared_memory", None)
-        assert not shm_mod.available()
-        assert ShmArena.pack([RECTS_A]) is None
-        assert registry.gauge_value(names.POOL_SHM_FALLBACK) == 1
+    def test_int32_overflow_falls_back(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with caplog.at_level(logging.WARNING, logger="repro.layout.store"):
+            with run_store({(0, 0): Region([Rect(0, 0, 2**40, 10)])}) as view:
+                assert view is None
+        warnings = [r for r in caplog.records if "run-scoped" in r.getMessage()]
+        assert len(warnings) == 1
+        assert glob.glob(os.path.join(str(tmp_path), "*.lstore*")) == []
+        # geometry that fits still gets a store
+        with run_store({(0, 0): Region(RECTS_A)}) as view:
+            assert view is not None
 
     def test_scan_without_shared_memory_matches_serial(
-        self, scan_setup, registry, monkeypatch
+        self, scan_setup, registry, store_usable, caplog
     ):
-        # a pooled scan on a host without shared memory must ship the
-        # payload pickled (gauging the fallback) and stay bit-identical
+        # a pooled scan on a host that cannot map a store must ship the
+        # payload pickled (with one warning) and stay bit-identical
         tech, model, m1 = scan_setup
         limit = tech.metal_width // 2
+        store_usable(False)
         serial = scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=1)
-        monkeypatch.setattr(shm_mod, "_shared_memory", None)
-        pooled = scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=2)
+        with caplog.at_level(logging.WARNING, logger="repro.layout.store"):
+            pooled = scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=2)
         assert pooled.hotspots == serial.hotspots
         assert pooled.tiles == serial.tiles
-        assert registry.gauge_value(names.POOL_SHM_FALLBACK) == 1
+        warnings = [r for r in caplog.records if "run-scoped" in r.getMessage()]
+        assert len(warnings) == 1
+        pickled_bytes = registry.gauge_value(names.POOL_PAYLOAD_BYTES)
+        assert pickled_bytes is not None
+        assert pickled_bytes > len(pickle.dumps(list(m1.rects())))
 
 
 class TestScanEquivalence:
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_shm_matches_pickled_payload(self, scan_setup, jobs, monkeypatch):
+    def test_shm_matches_pickled_payload(self, scan_setup, jobs, store_usable):
         tech, model, m1 = scan_setup
         limit = tech.metal_width // 2
         kwargs = dict(tile_nm=1500, pinch_limit=limit, jobs=jobs)
         with_shm = scan_full_chip(model, m1, **kwargs)
-        monkeypatch.setenv(shm_mod.ENV_DISABLE, "1")
+        store_usable(False)
         pickled = scan_full_chip(model, m1, **kwargs)
         assert with_shm.hotspots == pickled.hotspots
         assert with_shm.tiles == pickled.tiles
 
     @pytest.mark.parametrize("writer_shm", [True, False])
     def test_tile_caches_are_interchangeable(
-        self, scan_setup, writer_shm, monkeypatch
+        self, scan_setup, writer_shm, store_usable
     ):
         # keys are computed parent-side from the same geometry either
-        # way: a cache written by the shm engine replays warm under the
-        # pickled engine and vice versa
+        # way: a cache written over the store transport replays warm
+        # under the pickled payload and vice versa
         tech, model, m1 = scan_setup
         limit = tech.metal_width // 2
         kwargs = dict(tile_nm=1500, pinch_limit=limit, jobs=2)
         cache = TileCache()
-        if not writer_shm:
-            monkeypatch.setenv(shm_mod.ENV_DISABLE, "1")
+        store_usable(writer_shm)
         first = scan_full_chip(model, m1, cache=cache, **kwargs)
-        if writer_shm:
-            monkeypatch.setenv(shm_mod.ENV_DISABLE, "1")
-        else:
-            monkeypatch.delenv(shm_mod.ENV_DISABLE)
+        store_usable(not writer_shm)
         second = scan_full_chip(model, m1, cache=cache, **kwargs)
         assert first.tiles_computed == first.tiles
         assert second.tiles_computed == 0
         assert second.cache_hit_rate == 1.0
         assert second.hotspots == first.hotspots
 
-    def test_wire_payload_is_smaller_with_shm(self, scan_setup, registry):
+    def test_wire_payload_is_smaller_with_shm(self, scan_setup, registry, store_usable):
         tech, model, m1 = scan_setup
         limit = tech.metal_width // 2
         scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=2)
         shm_bytes = registry.gauge_value(names.POOL_PAYLOAD_BYTES)
         registry.reset()
-        import os
-
-        os.environ[shm_mod.ENV_DISABLE] = "1"
-        try:
-            scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=2)
-        finally:
-            del os.environ[shm_mod.ENV_DISABLE]
+        store_usable(False)
+        scan_full_chip(model, m1, tile_nm=1500, pinch_limit=limit, jobs=2)
         pickled_bytes = registry.gauge_value(names.POOL_PAYLOAD_BYTES)
         assert shm_bytes is not None and pickled_bytes is not None
         assert shm_bytes < pickled_bytes
@@ -184,23 +172,23 @@ class TestScanEquivalence:
 
 class TestDrcEquivalence:
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_shm_matches_pickled_payload(self, small_block, tech45, jobs, monkeypatch):
+    def test_shm_matches_pickled_payload(self, small_block, tech45, jobs, store_usable):
         from repro.drc import run_drc
 
         deck = tech45.rules.minimum()
         with_shm = run_drc(small_block.top, deck, jobs=jobs, tile_nm=2500)
-        monkeypatch.setenv(shm_mod.ENV_DISABLE, "1")
+        store_usable(False)
         pickled = run_drc(small_block.top, deck, jobs=jobs, tile_nm=2500)
         assert with_shm.violations == pickled.violations
         assert with_shm.tiles == pickled.tiles
 
-    def test_tile_caches_are_interchangeable(self, small_block, tech45, monkeypatch):
+    def test_tile_caches_are_interchangeable(self, small_block, tech45, store_usable):
         from repro.drc import run_drc
 
         deck = tech45.rules.minimum()
         cache = TileCache()
         first = run_drc(small_block.top, deck, jobs=2, tile_nm=2500, cache=cache)
-        monkeypatch.setenv(shm_mod.ENV_DISABLE, "1")
+        store_usable(False)
         second = run_drc(small_block.top, deck, jobs=2, tile_nm=2500, cache=cache)
         assert first.tiles_computed == first.tiles
         assert second.tiles_computed == 0

@@ -11,7 +11,7 @@ then distills the result.  The snapshot keeps one entry per bench —
 wall time plus every ``extra_info`` scalar or flat numeric dict the
 bench recorded (tiles/s, fast-path speedup, raster-reuse rate,
 cache-key timings, engine counters, the A3z ``payload_bytes`` rows
-guarding the zero-copy payload path, and the S1 service p50/p99 and
+guarding the constant-size payload path, and the S1 service p50/p99 and
 store-hit-rate rows) — so the perf trajectory can be diffed run over
 run without hauling the full pytest-benchmark payload around.
 

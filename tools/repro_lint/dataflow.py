@@ -631,8 +631,8 @@ def find_resource_leaks(scope: ast.AST) -> Iterator[ResourceLeak]:
     * acquired inside a ``try`` with handlers, with more work after the
       acquisition in the same ``try`` body, and no release in any
       handler or ``finally`` — the exception path leaks even when the
-      success path transfers ownership (the PR 6 ``ShmArena.pack``
-      bug class);
+      success path transfers ownership (a shared-memory segment
+      created, then filled by a statement that raises);
     * released in a ``finally`` — safe;
     * ownership escapes (returned, yielded, stored into an attribute or
       container, passed to another call) — the new owner releases;
