@@ -333,7 +333,7 @@ def test_a4_out_of_core_rss(benchmark, tech45, tmp_path):
     count)`` handle instead of geometry.  Both paths must print the
     identical scan summary at every scale.
 
-    ``ru_maxrss`` is a per-process high-water mark, so each (scale,
+    Peak RSS is a per-process high-water mark, so each (scale,
     mode) runs as its own CLI subprocess and reports through its
     ``--metrics-out`` manifest.
     """

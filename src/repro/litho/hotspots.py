@@ -17,9 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+from scipy import ndimage
+
 from repro.geometry import GridIndex, Rect, Region
 from repro.litho.model import LithoModel
 from repro.litho.process import ProcessCondition, ProcessWindow, sweep_contours
+from repro.litho.raster import raster_to_region
 
 
 class HotspotKind(Enum):
@@ -67,8 +71,12 @@ def find_hotspots(
     and filtering them keeps results window- and tiling-invariant.
 
     The corner sweep runs through a :class:`~repro.litho.model.SimCache`
-    (one rasterization, one blur per unique defocus) with indexed
-    detection; ``use_cache=False`` runs the *reference engine* instead —
+    (one rasterization, one blur per unique defocus) and classifies each
+    corner's printed bitmap directly: bridge and missing come from its
+    ``scipy.ndimage.label`` components read against the drawn-owner
+    raster of :class:`_DrawnContext`, and only the pinch check (nm-exact
+    morphology on ``printed & drawn``) converts the bitmap to a Region.
+    ``use_cache=False`` runs the *reference engine* instead —
     one independent simulation per corner, pairwise detection and merge
     loops — an independent implementation that must produce identical
     results, kept as the verification baseline (and the before/after
@@ -84,20 +92,27 @@ def find_hotspots(
     pinch_limit = pinch_limit if pinch_limit is not None else max(min_width // 2, g)
 
     raw: list[Hotspot] = []
-    contours = sweep_contours(
-        model, exposed, window, process.corners(), g, use_cache=use_cache
-    )
+    corners = process.corners()
     if use_cache:
+        sim = model.sim_cache(
+            exposed, window, g, defocus_hint=[c.defocus_nm for c in corners]
+        )
         # everything derived from the drawn layer alone is corner-invariant:
         # compute it once here instead of once per corner
-        ctx = _DrawnContext(drawn_in_window, min_width)
-        for condition, printed in contours:
-            raw.extend(
-                h
-                for h in _hotspots_at_condition(printed, drawn_in_window, condition, pinch_limit, ctx=ctx)
-                if h.severity >= min_severity
+        ctx = _DrawnContext(drawn_in_window, min_width, window, g)
+        for condition in corners:
+            # the printed bitmap is passed, not kept: the callee frees it
+            # as soon as it is classified
+            found = _hotspots_at_condition(
+                sim.print_image(condition.dose, condition.defocus_nm),
+                drawn_in_window,
+                condition,
+                pinch_limit,
+                ctx,
             )
+            raw.extend(h for h in found if h.severity >= min_severity)
         return _merge_across_corners(raw)
+    contours = sweep_contours(model, exposed, window, corners, g, use_cache=False)
     for condition, printed in contours:
         raw.extend(
             h
@@ -253,40 +268,79 @@ class _DrawnContext:
     """Corner-invariant precomputation for one drawn window.
 
     The corner sweep calls :func:`_hotspots_at_condition` once per
-    process corner with the *same* drawn region — its component split,
-    the bbox index over those components, and the pinch core (drawn
-    shrunk by the boundary tolerance) never change across corners, so
-    they are computed once per window here instead of once per corner.
+    process corner with the *same* drawn region, so everything derived
+    from it alone is computed once per window here:
+
+    * ``components`` — the drawn 4-connected components, in
+      :meth:`~repro.geometry.Region.components` order;
+    * ``owner`` — the drawn-owner raster on the printed image's pixel
+      grid: ``k + 1`` where a pixel overlaps exactly one drawn component
+      ``k`` with positive area (the :meth:`Region.overlaps
+      <repro.geometry.Region.overlaps>` test), ``-1`` where it overlaps
+      several, ``0`` where it overlaps none;
+    * ``shared_pix`` / ``shared_own`` — every (flat pixel, component)
+      incidence of the ``-1`` pixels, which occur where two components
+      are closer than a pixel, so those stay exact too;
+    * ``core`` — the pinch core (drawn shrunk by the boundary
+      tolerance) in the doubled lattice.
     """
 
-    __slots__ = ("components", "index", "core", "buf")
+    __slots__ = ("components", "window", "grid", "owner", "shared_pix", "shared_own", "core")
 
-    def __init__(self, drawn: Region, min_width: int, boundary_tol: int = 6):
+    def __init__(
+        self, drawn: Region, min_width: int, window: Rect, grid: int, boundary_tol: int = 6
+    ):
         self.components = drawn.components()
-        self.index: GridIndex[int] = GridIndex(cell_size=2048)
-        for i, d in enumerate(self.components):
-            self.index.insert(d.bbox, i)
-        self.core = (
-            drawn.grown(-min(boundary_tol, min_width // 2 - 1)).scaled(2)
-            if not drawn.is_empty
-            else Region()
-        )
-        self.buf: list[int] = []
+        self.window = window
+        self.grid = grid
+        self.owner, self.shared_pix, self.shared_own = self._owner_raster()
+        self.core = drawn.grown(-min(boundary_tol, min_width // 2 - 1)).scaled(2)
+
+    def _owner_raster(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        w, g = self.window, self.grid
+        nx = -(-(w.x1 - w.x0) // g)
+        ny = -(-(w.y1 - w.y0) // g)
+        owner = np.zeros((ny, nx), dtype=np.int32)
+        # the pixels a rect overlaps with positive area form one block;
+        # painting every block leaves the last painter on a shared pixel
+        blocks = []
+        for k, comp in enumerate(self.components, 1):
+            for xa, xb, ys in comp.slabs():
+                c0, c1 = (xa - w.x0) // g, -(-(xb - w.x0) // g)
+                for y0, y1 in ys:
+                    r0, r1 = (y0 - w.y0) // g, -(-(y1 - w.y0) // g)
+                    owner[r0:r1, c0:c1] = k
+                    blocks.append((r0, r1, c0, c1, k))
+        # every other component on a shared pixel finds it painted over
+        pairs: set[tuple[int, int]] = set()
+        for r0, r1, c0, c1, k in blocks:
+            painted = owner[r0:r1, c0:c1]
+            lost = painted != k
+            if lost.any():
+                rows, cols = np.nonzero(lost)
+                pixels = ((rows + r0) * nx + cols + c0).tolist()
+                for pixel, other in zip(pixels, painted[lost].tolist()):
+                    pairs.update(((pixel, k - 1), (pixel, other - 1)))
+        shared = sorted(pairs)
+        shared_pix = np.array([p for p, _ in shared], dtype=np.int64)
+        shared_own = np.array([k for _, k in shared], dtype=np.int64)
+        owner.ravel()[shared_pix] = -1
+        return owner, shared_pix, shared_own
 
 
 def _hotspots_at_condition(
-    printed: Region,
+    image: np.ndarray,
     drawn: Region,
     condition: ProcessCondition,
     pinch_limit: int,
-    boundary_tol: int = 6,
-    ctx: _DrawnContext | None = None,
+    ctx: _DrawnContext,
 ) -> list[Hotspot]:
+    printed = raster_to_region(image, ctx.window, ctx.grid)
+    shorts = _bridge_and_missing(image, drawn, condition, ctx)
+    # the bitmap is no longer needed: freeing it before the morphology
+    # below keeps it from pinning heap memory (peak RSS)
+    del image
     out: list[Hotspot] = []
-    if ctx is None:
-        min_width = _min_feature_width(drawn) if not drawn.is_empty else 0
-        ctx = _DrawnContext(drawn, min_width, boundary_tol)
-    drawn_components = ctx.components
 
     # pinch: printed image of drawn features necks below the limit.
     # Work in the doubled lattice for parity-free opening.  Necks that
@@ -302,34 +356,62 @@ def _hotspots_at_condition(
         bb = comp.bbox
         marker = Rect(bb.x0 // 2, bb.y0 // 2, -(-bb.x1 // 2), -(-bb.y1 // 2))
         out.append(Hotspot(HotspotKind.PINCH, marker, comp.area / 4.0, condition))
+    return out + shorts
 
-    # bridge: one printed component shorting >= 2 distinct drawn features.
-    # The overlap tests are bbox-prefiltered through a GridIndex — only
-    # drawn components whose bbox touches the printed component's bbox
-    # pay for an exact overlap sweep; the same pass marks which drawn
-    # components printed at all, giving the missing check for free.
-    drawn_index = ctx.index
-    printed_any = [False] * len(drawn_components)
-    buf = ctx.buf
-    for comp in printed.components():
-        bb = comp.bbox
-        touched = [
-            i
-            for i in sorted(drawn_index.query_into(bb, buf))
-            if comp.overlaps(drawn_components[i])
-        ]
-        for i in touched:
-            printed_any[i] = True
-        if len(touched) >= 2:
+
+def _bridge_and_missing(
+    image: np.ndarray, drawn: Region, condition: ProcessCondition, ctx: _DrawnContext
+) -> list[Hotspot]:
+    """Bridge and missing hotspots from the labelled printed pixels.
+
+    The default cross structure of ``ndimage.label`` is 4-connectivity,
+    the same as :meth:`Region.components <repro.geometry.Region.components>`,
+    and a printed component overlaps a drawn one exactly when one of its
+    pixels is owned by it: every (label, owner) incidence is read off
+    the owner raster plus the shared-pixel table of ``ctx``.
+    """
+    out: list[Hotspot] = []
+    window, g = ctx.window, ctx.grid
+    labels, n_labels = ndimage.label(image)
+    flat = labels.ravel()
+    owner = ctx.owner.ravel()
+    hit = (flat > 0) & (owner > 0)
+    lab = np.concatenate((flat[hit], flat[ctx.shared_pix]))
+    own = np.concatenate((owner[hit] - 1, ctx.shared_own))
+    on = lab > 0
+    lab, own = lab[on], own[on]
+    printed_any = np.zeros(len(ctx.components), dtype=bool)
+    printed_any[own] = True
+    # a label touches >= 2 drawn components exactly when one of its
+    # incidences disagrees with the owner kept for it
+    kept = np.zeros(n_labels + 1, dtype=own.dtype)
+    kept[lab] = own
+    bridging = np.unique(lab[kept[lab] != own]).tolist()
+    if bridging:
+        objects = ndimage.find_objects(labels)
+        found = []
+        for b in bridging:
+            rows, cols = objects[b - 1]
+            pixels = labels[rows, cols] == b
+            # Region.components order: leftmost column, then lowest row in it
+            order = (cols.start, rows.start + int(np.argmax(pixels[:, 0])))
+            box = Rect(
+                window.x0 + cols.start * g,
+                window.y0 + rows.start * g,
+                min(window.x0 + cols.stop * g, window.x1),
+                min(window.y0 + rows.stop * g, window.y1),
+            )
+            found.append((order, raster_to_region(pixels, box, g)))
+        found.sort(key=lambda item: item[0])
+        for _, comp in found:
             gap_fill = comp - drawn
             marker_src = gap_fill if not gap_fill.is_empty else comp
             out.append(
                 Hotspot(HotspotKind.BRIDGE, marker_src.bbox, marker_src.area, condition)
             )
 
-    # missing: an entire drawn component printed nothing (equivalently,
-    # no printed component overlaps it)
-    for i, comp in enumerate(drawn_components):
-        if not printed_any[i]:
-            out.append(Hotspot(HotspotKind.MISSING, comp.bbox, comp.area, condition))
+    # missing: an entire drawn component printed nothing
+    for i in np.flatnonzero(~printed_any).tolist():
+        comp = ctx.components[i]
+        out.append(Hotspot(HotspotKind.MISSING, comp.bbox, comp.area, condition))
     return out

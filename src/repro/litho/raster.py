@@ -3,9 +3,11 @@
 Both directions are vectorized: :func:`rasterize` scatters each
 rectangle's separable coverage profile into a 2-D difference array (a
 constant number of ``np.add.at`` updates per rectangle, then one
-inclusive 2-D prefix sum), and :func:`raster_to_region` extracts every
-row's True-runs from a single whole-array transition scan instead of a
-Python loop per row.
+inclusive 2-D prefix sum), and :func:`raster_to_region` builds the
+canonical slab list of :class:`~repro.geometry.Region` directly from the
+pixel columns: adjacent identical columns collapse into one slab, and
+one whole-array transition scan yields every slab's y-intervals, with no
+rectangle sweep.
 
 Coverage is accumulated in *integer* area units (nm² — all layout
 coordinates are integers) and divided by the pixel area exactly once at
@@ -79,23 +81,40 @@ def rasterize(region: Region, window: Rect, grid: int) -> np.ndarray:
 
 
 def raster_to_region(mask: np.ndarray, window: Rect, grid: int) -> Region:
-    """Convert a boolean raster back into a Region (pixel-resolution)."""
+    """Convert a boolean raster back into a Region (pixel-resolution).
+
+    ``mask`` covers ``window`` the way :func:`rasterize` lays pixels
+    out, so a partial last column or row is clipped to ``window.x1`` /
+    ``window.y1``.  The canonical slab list is built straight from the
+    pixel columns: each column's vertical runs are its y-intervals, and
+    a run of identical adjacent columns is one slab.
+    """
     ny, nx = mask.shape
     if ny == 0 or nx == 0 or not mask.any():
         return Region()
-    # one whole-array transition scan: +1 marks a run start, -1 the pixel
-    # after a run end; np.nonzero is row-major, so starts and ends align
-    # pairwise and arrive already sorted by (row, column)
-    transitions = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
-    jj, ii = np.nonzero(transitions)
-    rising = transitions[jj, ii] > 0
-    j_start, i_start = jj[rising], ii[rising]
-    i_stop = ii[~rising]
-    x0w, y0w = window.x0, window.y0
-    x0 = x0w + i_start * grid
-    x1 = np.minimum(x0w + i_stop * grid, window.x1)
-    y0 = y0w + j_start * grid
-    y1 = np.minimum(y0 + grid, window.y1)
-    return Region(
-        [Rect(int(a), int(b), int(c), int(d)) for a, b, c, d in zip(x0, y0, x1, y1)]
+    # a column that equals its left neighbour continues that slab
+    starts = np.flatnonzero(
+        np.concatenate(([True], (mask[:, 1:] != mask[:, :-1]).any(axis=0)))
     )
+    stops = np.append(starts[1:], nx)
+    filled = mask[:, starts].any(axis=0)
+    starts, stops = starts[filled], stops[filled]
+    # one transition scan over the slabs' first columns: np.nonzero is
+    # row-major in (slab, row), so run starts and ends pair up in order
+    transitions = np.diff(
+        mask[:, starts].T.astype(np.int8), axis=1, prepend=0, append=0
+    )
+    ss, jj = np.nonzero(transitions)
+    rising = transitions[ss, jj] > 0
+    y0 = window.y0 + jj[rising] * grid
+    y1 = np.minimum(window.y0 + jj[~rising] * grid, window.y1)
+    x0 = window.x0 + starts * grid
+    x1 = np.minimum(window.x0 + stops * grid, window.x1)
+    ys = list(zip(y0.tolist(), y1.tolist()))
+    ends = np.cumsum(np.bincount(ss[rising], minlength=len(starts))).tolist()
+    slabs = []
+    lo = 0
+    for xa, xb, hi in zip(x0.tolist(), x1.tolist(), ends):
+        slabs.append((xa, xb, ys[lo:hi]))
+        lo = hi
+    return Region._from_slabs(slabs)

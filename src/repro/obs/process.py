@@ -6,10 +6,13 @@ the chip area grows, where the in-RAM path grows linearly.  The gauge
 is sampled once, just before the run manifest is collected, so every
 ``--metrics-out`` manifest (and every bench ``extra_info``) carries it.
 
-``ru_maxrss`` is a high-water mark for the whole process lifetime —
+The peak is a high-water mark for the whole process lifetime —
 comparisons between code paths must run each path in its own process
 (the benches and the CI smoke drive the CLI as subprocesses for exactly
-this reason).
+this reason).  On Linux it is read from ``VmHWM`` in
+``/proc/self/status``, which belongs to the current program image:
+``ru_maxrss`` carries the parent's high-water mark across fork+exec, so
+a small CLI child of a large parent would report the parent's peak.
 """
 
 from __future__ import annotations
@@ -23,10 +26,18 @@ from repro.obs.registry import MetricsRegistry, get_registry
 def peak_rss_bytes() -> int | None:
     """Peak resident set size of this process, in bytes.
 
-    Backed by the stdlib ``resource`` module, whose ``ru_maxrss`` unit
-    is kilobytes on Linux and bytes on macOS.  Returns ``None`` where
-    ``resource`` is unavailable (non-POSIX platforms).
+    Reads ``VmHWM`` from ``/proc/self/status`` where that file exists,
+    and falls back to the stdlib ``resource`` module elsewhere, whose
+    ``ru_maxrss`` unit is kilobytes on Linux and bytes on macOS.
+    Returns ``None`` where neither is available (non-POSIX platforms).
     """
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024  # reported in kB
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX only

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.designgen import LogicBlockSpec, generate_logic_block
 from repro.geometry import Rect, Region
-from repro.litho import ProcessWindow, find_hotspots, pv_bands, scan_full_chip
+from repro.litho import (
+    HotspotKind,
+    ProcessWindow,
+    find_hotspots,
+    pv_bands,
+    rasterize,
+    scan_full_chip,
+)
 from repro.litho.fullchip import _ScanGeometry, _ScanPayload, _scan_params, _tile_key
-from repro.litho.hotspots import _min_feature_width
+from repro.litho.hotspots import _DrawnContext, _min_feature_width
 from repro.parallel import TileCache, tile_grid
 
 
@@ -218,3 +226,129 @@ class TestMinFeatureWidth:
 
     def test_single_rect(self):
         assert _min_feature_width(Region([Rect(0, 0, 50, 200)])) == 50
+
+
+def _fast_equals_reference(model, drawn, window, grid, **kwargs):
+    fast = find_hotspots(model, drawn, window, grid=grid, use_cache=True, **kwargs)
+    slow = find_hotspots(model, drawn, window, grid=grid, use_cache=False, **kwargs)
+    assert fast == slow
+    return fast
+
+
+def _incidences(ctx):
+    """Every (flat pixel, drawn component) pair the owner raster records."""
+    owner = ctx.owner.ravel()
+    single = np.flatnonzero(owner > 0)
+    pairs = set(zip(single.tolist(), (owner[single] - 1).tolist()))
+    return pairs | set(zip(ctx.shared_pix.tolist(), ctx.shared_own.tolist()))
+
+
+class TestLabelledBridgeMissing:
+    """Bridge/missing read off labelled printed pixels must match the
+    reference engine's Region components and pairwise overlaps."""
+
+    @pytest.mark.parametrize("grid", [2, 4, 5, 8])
+    def test_two_line_bridges_across_pixel_boundaries(self, litho45, grid):
+        shared = 0
+        for gap in range(1, 2 * grid + 1):
+            for shift in range(0, grid, max(1, grid // 3)):
+                x = 50 + shift
+                drawn = Region([Rect(0, 0, x, 160), Rect(x + gap, 0, x + gap + 50, 160)])
+                window = Rect(-61, -57, x + gap + 113, 219)
+                found = _fast_equals_reference(litho45, drawn, window, grid, pinch_limit=20)
+                assert any(h.kind is HotspotKind.BRIDGE for h in found)
+                ctx = _DrawnContext(drawn & Region(window), 50, window, grid)
+                shared += len(ctx.shared_pix) > 0
+        # a pixel overlaps both lines once the gap is two less than the
+        # grid, so every grid but 2 puts some pairs in one pixel
+        assert shared > 0 or grid == 2
+
+    @pytest.mark.parametrize("grid", [4, 5, 8])
+    def test_speck_reached_only_through_shared_pixels(self, litho45, grid):
+        # a 1 nm speck whose only overlapping pixel is the line's edge
+        # pixel: the printed line touches it through shared pixels alone
+        bridged = 0
+        for gap in range(1, grid - 1):
+            for x in range(50, 50 + grid):
+                drawn = Region([Rect(0, 0, x, 200), Rect(x + gap, 100, x + gap + 1, 101)])
+                window = Rect(-61, -57, 130, 259)
+                found = _fast_equals_reference(litho45, drawn, window, grid, pinch_limit=20)
+                bridged += any(h.kind is HotspotKind.BRIDGE for h in found)
+        assert bridged > 0
+
+    @pytest.mark.parametrize("grid", [4, 5, 8])
+    def test_corner_touching_squares_share_a_pixel(self, litho45, grid):
+        # corner contact is not 4-connected: two drawn components whose
+        # shared corner lies inside one pixel
+        drawn = Region([Rect(0, 0, 61, 61), Rect(61, 61, 122, 122)])
+        window = Rect(-80, -80, 200, 200)
+        assert len(_DrawnContext(drawn, 61, window, grid).shared_pix) == 2
+        _fast_equals_reference(litho45, drawn, window, grid)
+
+    @pytest.mark.parametrize("grid", [4, 5, 8])
+    def test_owner_raster_matches_per_component_coverage(self, grid):
+        # three specks 1 nm apart in the first pixel, corner-touching
+        # squares, and a plain bar
+        drawn = Region(
+            [
+                Rect(0, 0, 1, 1), Rect(2, 0, 3, 1), Rect(0, 2, 1, 3),
+                Rect(10, 10, 13, 13), Rect(13, 13, 17, 17),
+                Rect(20, 0, 61, 37),
+            ]
+        )
+        window = Rect(0, 0, 70, 45)
+        ctx = _DrawnContext(drawn, _min_feature_width(drawn), window, grid)
+        want = {
+            (pixel, k)
+            for k, comp in enumerate(ctx.components)
+            for pixel in np.flatnonzero(rasterize(comp, window, grid) > 0).tolist()
+        }
+        assert _incidences(ctx) == want
+        owners_of_first_pixel = {k for pixel, k in want if pixel == 0}
+        assert len(owners_of_first_pixel) == 3
+        assert ctx.owner[0, 0] == -1
+
+    @pytest.mark.parametrize("grid", [2, 5, 8])
+    def test_specks_that_fail_to_print(self, litho45, grid):
+        drawn = Region(
+            [
+                Rect(0, 0, 12, 12), Rect(163, 7, 177, 19),  # too small to print
+                Rect(300, 0, 345, 300), Rect(371, 0, 416, 300),  # a bridging pair
+            ]
+        )
+        found = _fast_equals_reference(litho45, drawn, Rect(-150, -153, 560, 451), grid)
+        kinds = [h.kind for h in found]
+        assert kinds.count(HotspotKind.MISSING) == 2
+        assert HotspotKind.BRIDGE in kinds
+
+    @pytest.mark.parametrize("grid", [4, 5])
+    def test_opc_mask_differs_from_drawn(self, litho45, grid):
+        lines = Region([Rect(0, 0, 45, 400), Rect(120, 0, 165, 400)])
+        square = Region(Rect(300, 100, 390, 190))
+        drawn = lines | square
+        window = Rect(-100, -100, 500, 500)
+        # the exposed mask bridges the lines and drops the square
+        mask = lines | Region(Rect(45, 180, 120, 230))
+        found = _fast_equals_reference(litho45, drawn, window, grid, mask=mask)
+        kinds = {h.kind for h in found}
+        assert {HotspotKind.BRIDGE, HotspotKind.MISSING} <= kinds
+        _fast_equals_reference(litho45, drawn, window, grid, mask=drawn.grown(3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.sampled_from([2, 4, 5, 8]),
+        boxes=st.lists(
+            st.tuples(
+                st.integers(0, 200), st.integers(0, 200),
+                st.integers(1, 90), st.integers(1, 90),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        dx=st.integers(-7, 7),
+        dy=st.integers(-7, 7),
+    )
+    def test_random_layouts(self, litho45, grid, boxes, dx, dy):
+        drawn = Region([Rect(x, y, x + w, y + h) for x, y, w, h in boxes])
+        window = Rect(-40 + dx, -40 + dy, 260 + dx, 260 + dy)
+        _fast_equals_reference(litho45, drawn, window, grid)

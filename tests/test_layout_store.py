@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import json
 import os
 import pickle
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -497,3 +501,24 @@ class TestPeakRss:
         peak = sample_peak_rss(registry)
         assert peak is not None and peak > 1 << 20  # a real process > 1 MiB
         assert registry.gauge_value(names.RUN_PEAK_RSS_BYTES) == peak
+
+    def test_cli_child_does_not_inherit_parent_peak(self, tmp_path):
+        # ru_maxrss survives fork+exec: a CLI child spawned from a big
+        # parent would report the parent's high-water mark as its own
+        ballast = b"\x01" * (256 << 20)  # written, so resident here
+        manifest = tmp_path / "manifest.json"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "generate", "--rows", "1",
+                "--out", str(tmp_path / "block.gds"), "--metrics-out", str(manifest),
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        del ballast
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        gauges = json.loads(manifest.read_text(encoding="utf-8"))["gauges"]
+        assert gauges[names.RUN_PEAK_RSS_BYTES] < 150 << 20

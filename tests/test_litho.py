@@ -3,6 +3,7 @@ CD metrology, process windows, and hotspot detection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Rect, Region
 from repro.litho import (
@@ -57,6 +58,68 @@ class TestRaster:
         mask = rasterize(region, window, 5) >= 0.5
         back = raster_to_region(mask, window, 5)
         assert back == region
+
+
+def _row_run_region(mask, window, grid):
+    """The bitmap as a Region of its row runs, one rect per run, built
+    through the general rectangle sweep (the construction that
+    ``raster_to_region`` replaces)."""
+    rects = []
+    for j, row in enumerate(mask.tolist()):
+        i = 0
+        while i < len(row):
+            if not row[i]:
+                i += 1
+                continue
+            stop = i
+            while stop < len(row) and row[stop]:
+                stop += 1
+            rects.append(
+                Rect(
+                    window.x0 + i * grid,
+                    window.y0 + j * grid,
+                    min(window.x0 + stop * grid, window.x1),
+                    min(window.y0 + (j + 1) * grid, window.y1),
+                )
+            )
+            i = stop
+    return Region(rects)
+
+
+@st.composite
+def _bitmaps(draw):
+    grid = draw(st.sampled_from([2, 4, 5, 8]))
+    w, h = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    x0, y0 = draw(st.integers(-100, 100)), draw(st.integers(-100, 100))
+    nx, ny = -(-w // grid), -(-h // grid)
+    kind = draw(st.sampled_from(["random", "empty-columns", "all", "single"]))
+    if kind == "all":
+        mask = np.ones((ny, nx), dtype=bool)
+    elif kind == "single":
+        mask = np.zeros((ny, nx), dtype=bool)
+        mask[draw(st.integers(0, ny - 1)), draw(st.integers(0, nx - 1))] = True
+    else:
+        bits = draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+        mask = np.array(bits, dtype=bool).reshape(ny, nx)
+        if kind == "empty-columns":
+            mask[:, draw(st.lists(st.integers(0, nx - 1), max_size=nx))] = False
+    return mask, Rect(x0, y0, x0 + w, y0 + h), grid
+
+
+class TestRasterToRegionProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_bitmaps())
+    def test_equals_row_run_construction(self, case):
+        mask, window, grid = case
+        got = raster_to_region(mask, window, grid)
+        want = _row_run_region(mask, window, grid)
+        assert got == want
+        assert got.digest() == want.digest()
+
+    def test_partial_last_column_and_row_are_clipped(self):
+        mask = np.ones((3, 3), dtype=bool)
+        window = Rect(0, 0, 13, 11)  # neither side a multiple of 5
+        assert raster_to_region(mask, window, 5) == Region(window)
 
 
 class TestAerialImage:
