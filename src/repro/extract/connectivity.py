@@ -89,11 +89,9 @@ class ExtractedNetlist:
 
     def net_region(self, net: NetNode, layer: Layer) -> Region:
         """The net's geometry on one layer."""
-        merged = Region()
-        for node in self.nodes_of_net(net):
-            if node.layer == layer:
-                merged = merged | self.components[layer][node.index]
-        return merged
+        comps = self.components.get(layer, [])
+        nodes = [n for n in self.nodes_of_net(net) if n.layer == layer]
+        return Region([r for n in nodes for r in comps[n.index].rects()])
 
 
 def extract_nets(cell: Cell, tech: Technology) -> ExtractedNetlist:

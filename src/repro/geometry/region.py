@@ -11,16 +11,27 @@ equality, hashing, and property-based testing trivial.
 
 Boolean operations (union, intersection, difference, xor) are computed by
 a joint slab sweep using the 1-D interval algebra in
-:mod:`repro.geometry.intervals`.  Morphological sizing (grow/shrink with a
-square structuring element) is built on top, which in turn powers the DRC
-width/space/enclosure checks.
+:mod:`repro.geometry.intervals`.  Intersection and difference sweep only
+the *window* of slabs that can matter (found by bisection on the sorted
+slab list), so ``big.covers(small)``, ``big.clipped(window)`` and
+``big.overlaps(small)`` cost what the operands overlap, not the size of
+``big``.
+
+Morphological sizing (grow/shrink with a rectangular structuring element)
+is separable: a box is the Minkowski sum of a horizontal and a vertical
+segment, so sizing is an x-pass over the slab list (a sliding window of
+x-neighbouring slabs, unioned to dilate and intersected to erode)
+followed by a y-pass within each slab.  Sizing powers the DRC
+width/space/enclosure checks and the litho pinch check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_left, bisect_right
 import struct
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.geometry.intervals import (
@@ -95,6 +106,130 @@ def _sweep(a: list[Slab], b: list[Slab], op) -> list[Slab]:
         ys = op(ya, yb)
         if ys:
             out.append((xa, xb, ys))
+    return _merge_slabs(out)
+
+
+_X0 = itemgetter(0)
+_X1 = itemgetter(1)
+
+
+def _window(slabs: list[Slab], x0: int, x1: int) -> list[Slab]:
+    """The contiguous run of ``slabs`` whose x-range meets ``[x0, x1)``.
+
+    Slabs are sorted and disjoint, so both their ``x0`` and ``x1`` keys
+    are sorted and two bisections bound the run.
+    """
+    lo = bisect_right(slabs, x0, key=_X1)
+    return slabs[lo : bisect_left(slabs, x1, lo, key=_X0)]
+
+
+def _runs(slabs: list[Slab]) -> Iterator[list[Slab]]:
+    """Split a slab list into maximal runs of x-contiguous slabs."""
+    start = 0
+    for i in range(1, len(slabs)):
+        if slabs[i][0] != slabs[i - 1][1]:
+            yield slabs[start:i]
+            start = i
+    if slabs:
+        yield slabs[start:]
+
+
+def _dilate_x(slabs: list[Slab], d: int) -> list[Slab]:
+    """Minkowski sum with the horizontal segment ``[-d, d]`` (``d > 0``).
+
+    Every slab widens to ``[x0 - d, x1 + d)``.  Widened starts and ends
+    stay sorted, so the slabs covering an elementary x-interval are one
+    contiguous window ``[lo, hi)`` that two pointers track; its y-lists
+    are unioned (reused as-is when the window holds a single slab).
+    """
+    xs = sorted({x0 - d for x0, _, _ in slabs} | {x1 + d for _, x1, _ in slabs})
+    out: list[Slab] = []
+    n = len(slabs)
+    lo = hi = 0
+    for xa, xb in zip(xs, xs[1:]):
+        while hi < n and slabs[hi][0] - d <= xa:
+            hi += 1
+        while lo < hi and slabs[lo][1] + d <= xa:
+            lo += 1
+        if hi - lo == 1:
+            out.append((xa, xb, slabs[lo][2]))
+        elif hi > lo:
+            out.append((xa, xb, merge_intervals([iv for s in slabs[lo:hi] for iv in s[2]])))
+    return _merge_slabs(out)
+
+
+def _erode_x(slabs: list[Slab], d: int) -> list[Slab]:
+    """Erosion by the horizontal segment ``[-d, d]`` (``d > 0``).
+
+    A point survives only when its whole segment lies in one run of
+    x-contiguous slabs, so each run is eroded to ``[run_x0 + d,
+    run_x1 - d)``.  There a point at ``x`` keeps the intersection of the
+    y-lists of the slabs whose ``[x0 - d, x1 + d)`` holds ``x`` — a
+    window that only slides right.  A two-stack sliding aggregate keeps
+    that intersection at amortised O(1) ``intersect_intervals`` calls
+    per output slab: ``back`` holds the newest slabs with their running
+    intersection, ``front`` the oldest with suffix intersections, and
+    ``front`` is refilled from ``back`` when it runs dry.
+    """
+    out: list[Slab] = []
+    for run in _runs(slabs):
+        rx0, rx1 = run[0][0] + d, run[-1][1] - d
+        if rx0 >= rx1:
+            continue
+        cuts = {x0 - d for x0, _, _ in run} | {x1 + d for _, x1, _ in run}
+        xs = sorted({rx0, rx1} | {x for x in cuts if rx0 < x < rx1})
+        front: list[list[Interval]] = []
+        back: list[list[Interval]] = []
+        back_all: list[Interval] = []
+        lo = hi = 0
+        for xa, xb in zip(xs, xs[1:]):
+            while hi < len(run) and run[hi][0] - d <= xa:
+                ys = run[hi][2]
+                back_all = intersect_intervals(back_all, ys) if back else ys
+                back.append(ys)
+                hi += 1
+            while run[lo][1] + d <= xa:
+                if not front:
+                    acc = back[-1]
+                    front = [acc]
+                    for ys in reversed(back[:-1]):
+                        acc = intersect_intervals(ys, acc)
+                        front.append(acc)
+                    back = []
+                front.pop()
+                lo += 1
+            if not front:
+                ys = back_all
+            elif not back:
+                ys = front[-1]
+            else:
+                ys = intersect_intervals(front[-1], back_all)
+            if ys:
+                out.append((xa, xb, ys))
+    return _merge_slabs(out)
+
+
+def _size_y(slabs: list[Slab], dy: int) -> list[Slab]:
+    """Grow (``dy > 0``) or shrink (``dy < 0``) every slab's y-intervals.
+
+    Growing widens each interval by ``dy`` and coalesces neighbours that
+    now touch; shrinking narrows each by ``-dy`` and drops it once its
+    length is at most ``-2 * dy``.
+    """
+    out: list[Slab] = []
+    if dy > 0:
+        for xa, xb, ys in slabs:
+            grown: list[Interval] = []
+            for a, b in ys:
+                if grown and a - dy <= grown[-1][1]:
+                    grown[-1] = (grown[-1][0], b + dy)
+                else:
+                    grown.append((a - dy, b + dy))
+            out.append((xa, xb, grown))
+    else:
+        e = -dy
+        for xa, xb, ys in slabs:
+            out.append((xa, xb, [(a + e, b - e) for a, b in ys if b - a > 2 * e]))
     return _merge_slabs(out)
 
 
@@ -218,8 +353,7 @@ class Region:
             if xa > p.x:
                 # slabs sorted: a later slab may still touch p.x == xa, so
                 # only stop once strictly past
-                if xa > p.x:
-                    break
+                break
         return False
 
     # -- boolean algebra -----------------------------------------------------
@@ -227,10 +361,21 @@ class Region:
         return Region._from_slabs(_sweep(self._slabs, other._slabs, lambda a, b: merge_intervals(a + b)))
 
     def __and__(self, other: "Region") -> "Region":
-        return Region._from_slabs(_sweep(self._slabs, other._slabs, intersect_intervals))
+        a, b = self._slabs, other._slabs
+        if not a or not b:
+            return Region()
+        x0, x1 = max(a[0][0], b[0][0]), min(a[-1][1], b[-1][1])
+        if x0 >= x1:
+            return Region()
+        slabs = _sweep(_window(a, x0, x1), _window(b, x0, x1), intersect_intervals)
+        return Region._from_slabs(slabs)
 
     def __sub__(self, other: "Region") -> "Region":
-        return Region._from_slabs(_sweep(self._slabs, other._slabs, subtract_intervals))
+        a = self._slabs
+        if not a:
+            return Region()
+        b = _window(other._slabs, a[0][0], a[-1][1])
+        return Region._from_slabs(_sweep(a, b, subtract_intervals))
 
     def __xor__(self, other: "Region") -> "Region":
         return Region._from_slabs(_sweep(self._slabs, other._slabs, xor_intervals))
@@ -246,10 +391,16 @@ class Region:
         the first intersecting (slab, slab) pair — unlike ``self & other``
         it never materializes the intersection, so disjoint-but-close
         regions (the common case in hotspot bridging and fill checks)
-        answer in O(slabs scanned) with no allocation.
+        answer in O(slabs scanned) with no allocation.  Both cursors start
+        by bisection at the first slab that reaches the other operand's
+        x-span, so a small operand against a big one scans only the big
+        one's slabs under the small one.
         """
         a, b = self._slabs, other._slabs
-        ia = ib = 0
+        if not a or not b:
+            return False
+        ia = bisect_right(a, b[0][0], key=_X1)
+        ib = bisect_right(b, a[0][0], key=_X1)
         while ia < len(a) and ib < len(b):
             ax0, ax1, ay = a[ia]
             bx0, bx1, by = b[ib]
@@ -290,31 +441,28 @@ class Region:
 
     # -- morphology -----------------------------------------------------------
     def grown(self, d: int, dy: int | None = None) -> "Region":
-        """Minkowski dilation by a ``2d x 2dy`` square (isotropic grow).
+        """Minkowski dilation by a ``2d x 2dy`` box (isotropic grow).
 
         Negative values shrink (erosion).  ``d`` applies horizontally and
-        ``dy`` (default ``d``) vertically.
+        ``dy`` (default ``d``) vertically.  The box is the Minkowski sum
+        of a horizontal and a vertical segment, so sizing is separable:
+        an x-pass over the slab list (a sliding window of neighbouring
+        slabs, unioned or intersected) and then a y-pass within each
+        slab.  The x-pass always runs first, so mixed signs mean
+        ``grown(d, 0).grown(0, dy)``.
         """
         if dy is None:
             dy = d
-        if d == 0 and dy == 0:
+        slabs = self._slabs
+        if d > 0:
+            slabs = _dilate_x(slabs, d)
+        elif d < 0:
+            slabs = _erode_x(slabs, -d)
+        if dy:
+            slabs = _size_y(slabs, dy)
+        if slabs is self._slabs:
             return self
-        if d >= 0 and dy >= 0:
-            return Region([r.expanded(d, dy) for r in self.rects()])
-        if d <= 0 and dy <= 0:
-            return self._eroded(-d, -dy)
-        # mixed signs: do the two axes sequentially
-        return self.grown(d, 0).grown(0, dy)
-
-    def _eroded(self, d: int, dy: int) -> "Region":
-        """Erosion by complement-dilate-complement within a guard frame."""
-        bb = self.bbox
-        if bb is None:
-            return Region()
-        frame = Rect(bb.x0 - d - 1, bb.y0 - dy - 1, bb.x1 + d + 1, bb.y1 + dy + 1)
-        complement = Region(frame) - self
-        grown = complement.grown(d, dy)
-        return Region(frame) - grown
+        return Region._from_slabs(slabs)
 
     def opened(self, d: int) -> "Region":
         """Morphological opening: erode then dilate.
@@ -377,11 +525,9 @@ class Region:
         outside = Region(frame) - self
         # the component of `outside` touching the frame border is the true
         # outside; everything else is a hole
-        hole_parts = [c for c in outside.components() if not _touches_frame(c, frame)]
-        result = Region()
-        for c in hole_parts:
-            result = result | c
-        return result
+        return Region(
+            [r for c in outside.components() if not _touches_frame(c, frame) for r in c.rects()]
+        )
 
     def clipped(self, window: Rect) -> "Region":
         """Intersection with a rectangular window (fast path)."""

@@ -19,11 +19,17 @@ order:
 * **JSON-able snapshots.**  :meth:`snapshot` returns plain sorted
   dicts, ready for a :class:`~repro.obs.manifest.RunManifest` or a
   benchmark's ``extra_info``.
+* **Exact under threads.**  The daemon records from its dispatcher and
+  request-handler threads at once, so every enabled read-modify-write,
+  every read, and :meth:`merge`/:meth:`snapshot`/:meth:`reset` run
+  under one lock.  The disabled early return comes first and never
+  takes it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -143,6 +149,7 @@ class MetricsRegistry:
         self._gauges: dict[str, float] = {}
         self._timers: dict[str, TimerStat] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -159,39 +166,44 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop all recorded data (the enabled flag is unchanged)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._timers.clear()
-        self._histograms.clear()
+        with self._lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._timers.clear()
+            self._histograms.clear()
 
     # -- recording ------------------------------------------------------
     def inc(self, name: str, n: int = 1) -> None:
         if not self._enabled:
             return
-        self._counters[name] = self._counters.get(name, 0) + n
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + n
 
     def gauge(self, name: str, value: float) -> None:
         if not self._enabled:
             return
-        self._gauges[name] = value
+        with self._lock:
+            self._gauges[name] = value
 
     def observe(self, name: str, seconds: float) -> None:
         if not self._enabled:
             return
-        stat = self._timers.get(name)
-        if stat is None:
-            stat = self._timers[name] = TimerStat()
-        stat.observe(seconds)
+        with self._lock:
+            stat = self._timers.get(name)
+            if stat is None:
+                stat = self._timers[name] = TimerStat()
+            stat.observe(seconds)
 
     def observe_hist(
         self, name: str, value: float, bounds: tuple[float, ...] | None = None
     ) -> None:
         if not self._enabled:
             return
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram(bounds or DEFAULT_BUCKETS)
-        hist.observe(value)
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = self._histograms[name] = Histogram(bounds or DEFAULT_BUCKETS)
+            hist.observe(value)
 
     def timer(self, name: str) -> "_Timer | _NullTimer":
         """Context manager timing its body into timer ``name``."""
@@ -201,27 +213,30 @@ class MetricsRegistry:
 
     # -- reading --------------------------------------------------------
     def counter(self, name: str) -> int:
-        return self._counters.get(name, 0)
+        with self._lock:
+            return self._counters.get(name, 0)
 
     def gauge_value(self, name: str) -> float | None:
-        return self._gauges.get(name)
+        with self._lock:
+            return self._gauges.get(name)
 
     def timer_stat(self, name: str) -> TimerStat | None:
-        return self._timers.get(name)
+        with self._lock:
+            return self._timers.get(name)
 
     def timer_names(self) -> Iterator[str]:
-        return iter(sorted(self._timers))
+        with self._lock:
+            return iter(sorted(self._timers))
 
     def snapshot(self) -> dict[str, Any]:
         """A plain, JSON-able, deterministically ordered copy."""
-        return {
-            "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
-            "timers": {k: self._timers[k].to_dict() for k in sorted(self._timers)},
-            "histograms": {
-                k: self._histograms[k].to_dict() for k in sorted(self._histograms)
-            },
-        }
+        with self._lock:
+            return {
+                "counters": {k: self._counters[k] for k in sorted(self._counters)},
+                "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
+                "timers": {k: self._timers[k].to_dict() for k in sorted(self._timers)},
+                "histograms": {k: self._histograms[k].to_dict() for k in sorted(self._histograms)},
+            }
 
     def merge(self, snapshot: dict[str, Any]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a pool worker) into this
@@ -233,19 +248,20 @@ class MetricsRegistry:
         unconditional — the parent decided to collect the snapshot, so
         it lands even if this registry is currently disabled.
         """
-        for name, n in snapshot.get("counters", {}).items():
-            self._counters[name] = self._counters.get(name, 0) + n
-        self._gauges.update(snapshot.get("gauges", {}))
-        for name, stats in snapshot.get("timers", {}).items():
-            stat = self._timers.get(name)
-            if stat is None:
-                stat = self._timers[name] = TimerStat()
-            stat.merge(stats)
-        for name, hist in snapshot.get("histograms", {}).items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = self._histograms[name] = Histogram(tuple(hist["bounds"]))
-            mine.merge(hist["counts"])
+        with self._lock:
+            for name, n in snapshot.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0) + n
+            self._gauges.update(snapshot.get("gauges", {}))
+            for name, stats in snapshot.get("timers", {}).items():
+                stat = self._timers.get(name)
+                if stat is None:
+                    stat = self._timers[name] = TimerStat()
+                stat.merge(stats)
+            for name, hist in snapshot.get("histograms", {}).items():
+                mine = self._histograms.get(name)
+                if mine is None:
+                    mine = self._histograms[name] = Histogram(tuple(hist["bounds"]))
+                mine.merge(hist["counts"])
 
 
 # The process-wide registry every instrumented module records into.

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -67,6 +69,27 @@ class TestCounters:
         registry.reset()
         assert registry.counter("a") == 0
         assert registry.enabled
+
+    def test_concurrent_inc_is_exact(self, registry):
+        # A tiny switch interval forces thread switches inside the
+        # read-modify-write; an unlocked counter loses increments.
+        threads, per_thread = 4, 200_000
+
+        def work():
+            for _ in range(per_thread):
+                registry.inc("x")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join()
+        finally:
+            sys.setswitchinterval(previous)
+        assert registry.counter("x") == threads * per_thread
 
 
 class TestTimers:
