@@ -1,4 +1,13 @@
-"""S1 (service) — daemon latency and store reuse under edit churn.
+"""S0/S1 (service) — cold start, then daemon latency and store reuse.
+
+S0 is the cost a short tool invocation pays before any work: spawn to
+ready of a fresh interpreter running ``import repro`` (lazy: no engine,
+no numpy/scipy/networkx) and ``import repro.api`` (every engine), plus
+the wall time of ``python -m repro submit ping`` against a warm daemon.
+It gates only on an in-run ratio — the lazy import must cost at most
+half the engine import — never on absolute seconds.
+
+S1 is the churn loop below.
 
 The service's claim is steady-state economics: with the layout resident,
 the pool warm, and the result store shared, "verify the cell I just
@@ -15,11 +24,25 @@ and p50 latency sits far below the cold first scan.
 
 from __future__ import annotations
 
+import os
+import statistics
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 from repro.analysis import ExperimentRecord, Table
 from repro.gdsii import write_gds
 from repro.geometry import Rect
 from repro.layout import Layer, Layout
-from repro.service import JobState, ServiceClient, VerificationService
+from repro.service import (
+    JobState,
+    ServiceClient,
+    ServiceDaemon,
+    SocketClient,
+    VerificationService,
+)
 
 from conftest import run_once
 
@@ -30,6 +53,80 @@ ROUNDS = 8
 
 M1 = Layer(10, 0, "M1")
 WIRE_W = 120
+
+SPAWNS = 5  # S0: fresh interpreters per measurement (median taken)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _spawn_to_ready_s(statement: str) -> float:
+    """Median spawn-to-ready seconds of fresh interpreters running
+    ``statement`` and then writing one line."""
+    code = f"{statement}; import sys; sys.stdout.write('ready\\n'); sys.stdout.flush()"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    samples = []
+    for _ in range(SPAWNS):
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, env=env)
+        line = proc.stdout.readline()
+        samples.append(time.perf_counter() - t0)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0 and line.strip() == b"ready"
+    return statistics.median(samples)
+
+
+def _submit_ping_s(state_file: str) -> float:
+    """Median wall seconds of ``python -m repro submit ping``."""
+    cmd = [sys.executable, "-m", "repro", "submit", "ping", "--state-file", state_file]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    samples = []
+    for _ in range(SPAWNS):
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=60)
+        samples.append(time.perf_counter() - t0)
+        assert proc.returncode == 0, proc.stderr
+    return statistics.median(samples)
+
+
+def _cold_start(state_file: str) -> dict[str, float]:
+    daemon = ServiceDaemon(VerificationService(jobs=1), state_file=state_file)
+    thread = threading.Thread(target=daemon.serve_until_shutdown, daemon=True)
+    thread.start()
+    try:
+        SocketClient.from_state_file(path=state_file).ping()  # warm
+        ping_s = _submit_ping_s(state_file)
+    finally:
+        SocketClient.from_state_file(path=state_file).shutdown()
+        thread.join(timeout=60)
+    return {
+        "import_repro_s": _spawn_to_ready_s("import repro"),
+        "import_repro_api_s": _spawn_to_ready_s("import repro.api"),
+        "submit_ping_s": ping_s,
+    }
+
+
+def test_s0_cold_start(benchmark, tmp_path):
+    row = run_once(benchmark, lambda: _cold_start(str(tmp_path / "svc.json")))
+    ratio = row["import_repro_s"] / row["import_repro_api_s"]
+
+    table = Table(f"S0: spawn to ready, median of {SPAWNS}", ["path", "seconds"])
+    for name, seconds in row.items():
+        table.add_row(name, seconds)
+    print()
+    print(table.render())
+
+    for name, seconds in row.items():
+        benchmark.extra_info[name] = round(seconds, 4)
+    benchmark.extra_info["import_ratio"] = round(ratio, 4)
+
+    record = ExperimentRecord(
+        "S0", "import repro loads no engine: at most half the engine import"
+    )
+    record.record("import_ratio", ratio)
+    record.record("submit_ping_s", row["submit_ping_s"])
+    holds = ratio <= 0.5
+    record.conclude(holds)
+    print(record.render())
+    assert holds
 
 
 def _build_layout(edit_round: int) -> Layout:

@@ -18,138 +18,126 @@ Quickstart::
     block = generate_logic_block(tech, LogicBlockSpec(rows=3, weak_spots=8))
     card = evaluate_techniques(block.top, tech)
     print(card.render())
+
+Every top-level name resolves on first access (PEP 562): ``import
+repro`` loads no engine and none of numpy, scipy or networkx, and costs
+little more than starting the interpreter.  The engine modules
+themselves import their dependencies eagerly, so a process that has
+called an engine already holds them when its worker pool forks, and
+pooled workers inherit them instead of importing them again.
 """
+
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-# geometry kernel
-from repro.geometry import Point, Rect, Polygon, Region, Orientation, Transform, GridIndex
+# Lazy exports: name -> module it is re-exported from.  Resolved on first
+# attribute access, after which the value is cached in module globals.
+_LAZY = {
+    # geometry kernel
+    **dict.fromkeys(
+        ("Point", "Rect", "Polygon", "Region", "Orientation", "Transform", "GridIndex"),
+        "repro.geometry",
+    ),
+    # layout database + IO
+    **dict.fromkeys(("Layer", "Cell", "CellReference", "Layout"), "repro.layout"),
+    **dict.fromkeys(("read_gds", "write_gds", "read_json", "write_json"), "repro.gdsii"),
+    # technology
+    **dict.fromkeys(
+        ("Technology", "RuleDeck", "RuleSeverity", "make_node", "NODE_65", "NODE_45", "NODE_32"),
+        "repro.tech",
+    ),
+    # observability
+    **dict.fromkeys(
+        ("MetricsRegistry", "RunManifest", "get_registry", "get_tracer", "span"), "repro.obs"
+    ),
+    # the stable high-level facade (a submodule) and the unified report API
+    "api": "repro.api",
+    "BaseReport": "repro.core.report",
+    # engines
+    **dict.fromkeys(
+        (
+            "Tile", "TileCache", "TileExecutor", "tile_grid",
+            "AbortRun", "Checkpoint", "FaultPlan", "QuarantinedTile",
+        ),
+        "repro.parallel",
+    ),
+    **dict.fromkeys(
+        ("run_drc", "DrcReport", "Violation", "score_recommended_rules", "DfmScore"),
+        "repro.drc",
+    ),
+    **dict.fromkeys(
+        (
+            "PatternCatalog", "PatternMatcher", "extract_patterns",
+            "via_enclosure_catalog", "kl_divergence", "cluster_snippets",
+        ),
+        "repro.patterns",
+    ),
+    **dict.fromkeys(
+        (
+            "LithoModel", "simulate", "ProcessWindow", "pv_bands", "measure_cd",
+            "Cutline", "find_hotspots", "Hotspot",
+        ),
+        "repro.litho",
+    ),
+    **dict.fromkeys(
+        ("apply_rule_opc", "apply_model_opc", "insert_srafs", "verify_opc"), "repro.opc"
+    ),
+    **dict.fromkeys(
+        ("decompose_dpt", "decompose_with_stitches", "score_decomposition"), "repro.dpt"
+    ),
+    **dict.fromkeys(
+        (
+            "critical_area_shorts", "critical_area_opens",
+            "yield_poisson", "yield_negative_binomial",
+            "insert_redundant_vias", "spread_wires", "widen_wires",
+        ),
+        "repro.yieldmodels",
+    ),
+    **dict.fromkeys(("density_map", "dummy_fill", "thickness_map"), "repro.cmp"),
+    # generators
+    **dict.fromkeys(
+        (
+            "make_stdcell_library", "generate_logic_block", "LogicBlockSpec",
+            "generate_sram_array", "line_grating", "via_chain",
+        ),
+        "repro.designgen",
+    ),
+    # extensions: connectivity extraction and statistical variation
+    **dict.fromkeys(
+        ("extract_nets", "check_connectivity", "electrical_hotspot_impact"), "repro.extract"
+    ),
+    **dict.fromkeys(
+        (
+            "ProcessSampler", "simulate_cd_distribution", "process_capability",
+            "statistical_path_delays",
+        ),
+        "repro.variation",
+    ),
+    # the contribution
+    **dict.fromkeys(
+        (
+            "DesignContext", "DesignMetrics", "measure_design",
+            "DFMTechnique", "default_techniques", "Scorecard", "Verdict",
+            "evaluate_techniques",
+        ),
+        "repro.core",
+    ),
+}
 
-# layout database + IO
-from repro.layout import Layer, Cell, CellReference, Layout
-from repro.gdsii import read_gds, write_gds, read_json, write_json
+__all__ = [*_LAZY]
 
-# technology
-from repro.tech import (
-    Technology,
-    RuleDeck,
-    RuleSeverity,
-    make_node,
-    NODE_65,
-    NODE_45,
-    NODE_32,
-)
 
-# observability
-from repro.obs import MetricsRegistry, RunManifest, get_registry, get_tracer, span
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(module_name)
+    # a submodule export (``api``) is the module itself
+    value = module if module_name == f"{__name__}.{name}" else getattr(module, name)
+    globals()[name] = value
+    return value
 
-# unified report API
-from repro.core.report import BaseReport
 
-# engines
-from repro.parallel import (
-    AbortRun,
-    Checkpoint,
-    FaultPlan,
-    QuarantinedTile,
-    Tile,
-    TileCache,
-    TileExecutor,
-    tile_grid,
-)
-from repro.drc import run_drc, DrcReport, Violation, score_recommended_rules, DfmScore
-from repro.patterns import (
-    PatternCatalog,
-    PatternMatcher,
-    extract_patterns,
-    via_enclosure_catalog,
-    kl_divergence,
-    cluster_snippets,
-)
-from repro.litho import (
-    LithoModel,
-    simulate,
-    ProcessWindow,
-    pv_bands,
-    measure_cd,
-    Cutline,
-    find_hotspots,
-    Hotspot,
-)
-from repro.opc import apply_rule_opc, apply_model_opc, insert_srafs, verify_opc
-from repro.dpt import decompose_dpt, decompose_with_stitches, score_decomposition
-from repro.yieldmodels import (
-    critical_area_shorts,
-    critical_area_opens,
-    yield_poisson,
-    yield_negative_binomial,
-    insert_redundant_vias,
-    spread_wires,
-    widen_wires,
-)
-from repro.cmp import density_map, dummy_fill, thickness_map
-
-# generators
-from repro.designgen import (
-    make_stdcell_library,
-    generate_logic_block,
-    LogicBlockSpec,
-    generate_sram_array,
-    line_grating,
-    via_chain,
-)
-
-# extensions: connectivity extraction and statistical variation
-from repro.extract import extract_nets, check_connectivity, electrical_hotspot_impact
-from repro.variation import (
-    ProcessSampler,
-    simulate_cd_distribution,
-    process_capability,
-    statistical_path_delays,
-)
-
-# the stable high-level facade
-from repro import api
-
-# the contribution
-from repro.core import (
-    DesignContext,
-    DesignMetrics,
-    measure_design,
-    DFMTechnique,
-    default_techniques,
-    Scorecard,
-    Verdict,
-    evaluate_techniques,
-)
-
-__all__ = [
-    "Point", "Rect", "Polygon", "Region", "Orientation", "Transform", "GridIndex",
-    "Layer", "Cell", "CellReference", "Layout",
-    "read_gds", "write_gds", "read_json", "write_json",
-    "Technology", "RuleDeck", "RuleSeverity", "make_node",
-    "NODE_65", "NODE_45", "NODE_32",
-    "MetricsRegistry", "RunManifest", "get_registry", "get_tracer", "span",
-    "api", "BaseReport",
-    "Tile", "TileCache", "TileExecutor", "tile_grid",
-    "AbortRun", "Checkpoint", "FaultPlan", "QuarantinedTile",
-    "run_drc", "DrcReport", "Violation", "score_recommended_rules", "DfmScore",
-    "PatternCatalog", "PatternMatcher", "extract_patterns",
-    "via_enclosure_catalog", "kl_divergence", "cluster_snippets",
-    "LithoModel", "simulate", "ProcessWindow", "pv_bands", "measure_cd",
-    "Cutline", "find_hotspots", "Hotspot",
-    "apply_rule_opc", "apply_model_opc", "insert_srafs", "verify_opc",
-    "decompose_dpt", "decompose_with_stitches", "score_decomposition",
-    "critical_area_shorts", "critical_area_opens",
-    "yield_poisson", "yield_negative_binomial",
-    "insert_redundant_vias", "spread_wires", "widen_wires",
-    "density_map", "dummy_fill", "thickness_map",
-    "make_stdcell_library", "generate_logic_block", "LogicBlockSpec",
-    "generate_sram_array", "line_grating", "via_chain",
-    "extract_nets", "check_connectivity", "electrical_hotspot_impact",
-    "ProcessSampler", "simulate_cd_distribution", "process_capability",
-    "statistical_path_delays",
-    "DesignContext", "DesignMetrics", "measure_design",
-    "DFMTechnique", "default_techniques", "Scorecard", "Verdict",
-    "evaluate_techniques",
-]
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -41,14 +41,16 @@ import argparse
 import sys
 import time
 
-from repro import api
 from repro.analysis import Table
 from repro.designgen import LogicBlockSpec, generate_logic_block
-from repro.dpt import score_decomposition
 from repro.gdsii import read_gds, write_gds
 from repro.layout import Layer
 from repro.parallel import AbortRun
 from repro.tech import make_node
+
+# The engine-backed modules (``repro.api``, ``repro.dpt``) are imported
+# inside the handlers that use them: ``serve`` and ``submit`` start
+# without numpy, scipy or networkx.
 
 
 def _add_node(parser: argparse.ArgumentParser) -> None:
@@ -173,6 +175,7 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
 
 def _open_store(args):
     """Build-or-map the layout store named by ``--store``."""
+    from repro import api
     from repro.layout.store import LayoutStoreError
 
     try:
@@ -241,6 +244,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_drc(args) -> int:
+    from repro import api
+
     tech = make_node(args.node)
     if args.store:
         store = _open_store(args)
@@ -277,6 +282,8 @@ def cmd_drc(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from repro import api
+
     tech = make_node(args.node)
     layer = _resolve_layer(tech, args.layer)
     if args.store:
@@ -313,6 +320,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_dpt(args) -> int:
+    from repro import api
+    from repro.dpt import score_decomposition
+
     tech = make_node(args.node)
     layout = read_gds(args.gds)
     cell = _resolve_cell(layout, args.cell)
@@ -336,6 +346,7 @@ def cmd_dpt(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from repro import api
     from repro.layout.store import LayoutStoreError
 
     out = args.out or (args.gds + ".lstore")
@@ -464,6 +475,7 @@ def cmd_submit(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from repro import api
     from repro.service import (
         BadRequestError,
         DaemonUnreachableError,
@@ -530,6 +542,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_scorecard(args) -> int:
+    from repro import api
+
     tech = make_node(args.node)
     spec = LogicBlockSpec(
         rows=args.rows,

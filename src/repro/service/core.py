@@ -31,12 +31,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import __version__
-from repro.drc.engine import run_drc
-from repro.litho.fullchip import scan_full_chip
-from repro.litho.model import LithoModel
 from repro.obs import get_registry, names
 from repro.parallel import AbortRun, TileExecutor
 from repro.service.jobs import (
@@ -54,6 +51,9 @@ from repro.service.queue import PriorityJobQueue
 from repro.service.session import SessionManager, resolve_layer
 from repro.service.store import ResultStore
 from repro.tech import make_node
+
+if TYPE_CHECKING:
+    from repro.litho.model import LithoModel
 
 # Terminal jobs kept for status queries before the history is trimmed.
 _JOB_HISTORY = 1024
@@ -391,6 +391,8 @@ class VerificationService:
     def _model(self, node: int) -> LithoModel:
         model = self._models.get(node)
         if model is None:
+            from repro.litho.model import LithoModel
+
             model = self._models[node] = LithoModel(self._tech(node).litho)
         return model
 
@@ -409,6 +411,13 @@ class VerificationService:
             except ValueError as exc:
                 raise BadRequestError(str(exc)) from exc
             return None, result
+        # The engines load on the first verify job, not at daemon start,
+        # so the daemon answers before numpy and scipy are imported.  Both
+        # load together, whichever kind comes first: the warm pool forks
+        # inside that job, and its workers inherit what the parent holds.
+        from repro.drc.engine import run_drc
+        from repro.litho.fullchip import scan_full_chip
+
         gds = params.get("gds")
         if not gds:
             raise BadRequestError("missing required parameter 'gds'")
@@ -472,8 +481,3 @@ class VerificationService:
         }
         return report, result
 
-
-# ServiceClient lives with the rest of the client surface now; the
-# import is kept so `from repro.service.core import ServiceClient`
-# call sites keep working.
-from repro.service.client import ServiceClient as ServiceClient  # noqa: E402

@@ -32,7 +32,10 @@ def test_import_is_warning_free():
             "-W",
             "error::DeprecationWarning",
             "-c",
-            "import repro, repro.api, repro.cli, repro.matrix, repro.service",
+            # the top-level names load lazily: resolve every one so each
+            # engine module is imported under the warning filter
+            "import repro, repro.api, repro.cli, repro.matrix, repro.service; "
+            "[getattr(repro, name) for name in repro.__all__]",
         ],
         capture_output=True,
         text=True,
