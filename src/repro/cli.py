@@ -41,16 +41,9 @@ import argparse
 import sys
 import time
 
-from repro.analysis import Table
-from repro.designgen import LogicBlockSpec, generate_logic_block
-from repro.gdsii import read_gds, write_gds
-from repro.layout import Layer
-from repro.parallel import AbortRun
-from repro.tech import make_node
-
-# The engine-backed modules (``repro.api``, ``repro.dpt``) are imported
-# inside the handlers that use them: ``serve`` and ``submit`` start
-# without numpy, scipy or networkx.
+# Every handler imports what it uses: ``submit`` loads only the service
+# client and the wire, and ``serve`` starts without numpy, scipy or
+# networkx.
 
 
 def _add_node(parser: argparse.ArgumentParser) -> None:
@@ -198,8 +191,10 @@ def _parse_extent(text: str | None):
         ) from exc
 
 
-def _resolve_layer(tech, name: str) -> Layer:
+def _resolve_layer(tech, name: str):
     from dataclasses import fields
+
+    from repro.layout import Layer
 
     for f in fields(tech.layers):
         layer = getattr(tech.layers, f.name)
@@ -209,6 +204,10 @@ def _resolve_layer(tech, name: str) -> Layer:
 
 
 def cmd_generate(args) -> int:
+    from repro.designgen import LogicBlockSpec, generate_logic_block
+    from repro.gdsii import write_gds
+    from repro.tech import make_node
+
     tech = make_node(args.node)
     spec = LogicBlockSpec(
         rows=args.rows,
@@ -227,6 +226,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from repro.analysis import Table
+    from repro.gdsii import read_gds
+
     layout = read_gds(args.gds)
     print(f"library {layout.name!r}: {len(layout)} cells, dbu {layout.dbu_nm:g} nm")
     table = Table("cells", ["name", "shapes", "refs", "layers"])
@@ -245,6 +247,8 @@ def cmd_info(args) -> int:
 
 def cmd_drc(args) -> int:
     from repro import api
+    from repro.gdsii import read_gds
+    from repro.tech import make_node
 
     tech = make_node(args.node)
     if args.store:
@@ -283,6 +287,8 @@ def cmd_drc(args) -> int:
 
 def cmd_scan(args) -> int:
     from repro import api
+    from repro.gdsii import read_gds
+    from repro.tech import make_node
 
     tech = make_node(args.node)
     layer = _resolve_layer(tech, args.layer)
@@ -322,6 +328,8 @@ def cmd_scan(args) -> int:
 def cmd_dpt(args) -> int:
     from repro import api
     from repro.dpt import score_decomposition
+    from repro.gdsii import read_gds, write_gds
+    from repro.tech import make_node
 
     tech = make_node(args.node)
     layout = read_gds(args.gds)
@@ -414,7 +422,7 @@ def _submit_job_rc(args, job: dict) -> int:
 def cmd_submit(args) -> int:
     import json as _json
 
-    from repro.service import (
+    from repro.service.client import (
         BadRequestError,
         DaemonUnreachableError,
         QueueFullError,
@@ -476,7 +484,8 @@ def cmd_submit(args) -> int:
 
 def cmd_matrix(args) -> int:
     from repro import api
-    from repro.service import (
+    from repro.analysis import Table
+    from repro.service.client import (
         BadRequestError,
         DaemonUnreachableError,
         QueueFullError,
@@ -543,6 +552,8 @@ def cmd_matrix(args) -> int:
 
 def cmd_scorecard(args) -> int:
     from repro import api
+    from repro.designgen import LogicBlockSpec, generate_logic_block
+    from repro.tech import make_node
 
     tech = make_node(args.node)
     spec = LogicBlockSpec(
@@ -732,7 +743,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.obs import RunManifest, get_registry, get_tracer, span
-    from repro.parallel import resolve_jobs
 
     metrics_out = getattr(args, "metrics_out", None)
     trace = getattr(args, "trace", False)
@@ -749,7 +759,12 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with span(args.command):
                 rc = args.func(args)
-        except AbortRun as exc:
+        except Exception as exc:
+            # only the tile executor raises AbortRun, so a handler that
+            # never loaded it (``submit``) has none to catch
+            parallel = sys.modules.get("repro.parallel")
+            if parallel is None or not isinstance(exc, parallel.AbortRun):
+                raise
             # interrupted mid-run; completed tiles were checkpointed
             print(f"run aborted: {exc}", file=sys.stderr)
             print("completed tiles are checkpointed; rerun with --resume",
@@ -759,6 +774,7 @@ def main(argv: list[str] | None = None) -> int:
             print(tracer.render())
         if metrics_out:
             from repro.obs import sample_peak_rss
+            from repro.parallel import resolve_jobs
 
             # one whole-process high-water mark per manifest: this is
             # the number the out-of-core path is judged by

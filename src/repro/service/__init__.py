@@ -17,51 +17,56 @@ Entry points:
 * :class:`VerificationService` + :class:`ServiceClient` — the same
   engine in-process, no socket (see :func:`repro.api.make_service`);
 * :class:`SocketClient` — programmatic access to a running daemon.
+
+Every name resolves on first access (PEP 562), like the top-level
+package: a pure client (``repro submit``, :class:`SocketClient`) loads
+the wire and its typed errors, not the engine, the worker pool or the
+layout store that only the daemon side uses.
 """
 
-from repro.service import errors
-from repro.service.client import (
-    DEFAULT_STATE_FILE,
-    DaemonUnreachableError,
-    ServiceClient,
-    SocketClient,
-)
-from repro.service.core import VerificationService
-from repro.service.daemon import ServiceDaemon
-from repro.service.jobs import (
-    BadRequestError,
-    Job,
-    JobState,
-    Priority,
-    QueueFullError,
-    ServiceClosedError,
-    ServiceError,
-    UnknownJobError,
-)
-from repro.service.queue import PriorityJobQueue
-from repro.service.session import LayoutSession, SessionKey, SessionManager
-from repro.service.store import ResultStore, StoreView
+from importlib import import_module
 
-__all__ = [
-    "BadRequestError",
-    "DEFAULT_STATE_FILE",
-    "DaemonUnreachableError",
-    "Job",
-    "JobState",
-    "LayoutSession",
-    "Priority",
-    "PriorityJobQueue",
-    "QueueFullError",
-    "ResultStore",
-    "ServiceClient",
-    "ServiceClosedError",
-    "ServiceDaemon",
-    "ServiceError",
-    "errors",
-    "SessionKey",
-    "SessionManager",
-    "SocketClient",
-    "StoreView",
-    "UnknownJobError",
-    "VerificationService",
-]
+# Lazy exports: name -> module it is re-exported from.  Resolved on first
+# attribute access, after which the value is cached in module globals.
+_LAZY = {
+    "errors": "repro.service.errors",
+    **dict.fromkeys(
+        ("DEFAULT_STATE_FILE", "DaemonUnreachableError", "ServiceClient", "SocketClient"),
+        "repro.service.client",
+    ),
+    "VerificationService": "repro.service.core",
+    "ServiceDaemon": "repro.service.daemon",
+    **dict.fromkeys(
+        (
+            "BadRequestError",
+            "Job",
+            "JobState",
+            "Priority",
+            "QueueFullError",
+            "ServiceClosedError",
+            "ServiceError",
+            "UnknownJobError",
+        ),
+        "repro.service.jobs",
+    ),
+    "PriorityJobQueue": "repro.service.queue",
+    **dict.fromkeys(("LayoutSession", "SessionKey", "SessionManager"), "repro.service.session"),
+    **dict.fromkeys(("ResultStore", "StoreView"), "repro.service.store"),
+}
+
+__all__ = [*_LAZY]
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(module_name)
+    # a submodule export (``errors``) is the module itself
+    value = module if module_name == f"{__name__}.{name}" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

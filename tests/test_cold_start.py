@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -48,7 +49,8 @@ def _fresh(code: str, *args: str) -> Any:
 
 
 @pytest.mark.parametrize(
-    "module", ["repro", "repro.cli", "repro.service.daemon", "repro.service.client"]
+    "module",
+    ["repro", "repro.cli", "repro.service", "repro.service.daemon", "repro.service.client"],
 )
 def test_start_up_paths_load_no_engine_dependency(module):
     loaded = _fresh(
@@ -61,22 +63,62 @@ def test_start_up_paths_load_no_engine_dependency(module):
     assert loaded == []
 
 
-def test_exports_resolve_to_their_defining_objects():
-    out = _fresh(
+def test_submit_ping_loads_only_the_client(tmp_path):
+    """A fresh ``python -m repro submit ping`` loads the client and the
+    wire: not the worker pool, not the layout store, not numpy."""
+    from repro.service import ServiceDaemon, SocketClient, VerificationService
+
+    state_file = str(tmp_path / "svc.json")
+    daemon = ServiceDaemon(VerificationService(jobs=1), port=0, state_file=state_file)
+    thread = threading.Thread(target=daemon.serve_until_shutdown, daemon=True)
+    thread.start()
+    try:
+        out = _fresh(
+            """
+            import json, runpy, sys
+            state_file = sys.argv[1]
+            sys.argv = ["repro", "submit", "ping", "--state-file", state_file]
+            try:
+                runpy.run_module("repro", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                rc = exc.code
+            watched = ("multiprocessing.pool", "repro.layout.store", "numpy")
+            print(json.dumps({"rc": rc, "loaded": [m for m in watched if m in sys.modules]}))
+            """,
+            state_file,
+        )
+    finally:
+        SocketClient.from_state_file(path=state_file).shutdown()
+        thread.join(timeout=60)
+    assert out == {"rc": 0, "loaded": []}
+
+
+def _misresolved_exports(package: str) -> list[str]:
+    """The lazy exports of ``package`` that resolve to the wrong object."""
+    return _fresh(
         """
-        import importlib, json
-        import repro
+        import importlib, json, sys
+        name = sys.argv[1]
+        package = importlib.import_module(name)
 
         wrong = []
-        for name in repro.__all__:
-            home = importlib.import_module(repro._LAZY[name])
-            want = home if home.__name__ == f"repro.{name}" else getattr(home, name)
-            if getattr(repro, name) is not want:
-                wrong.append(name)
+        for export in package.__all__:
+            home = importlib.import_module(package._LAZY[export])
+            want = home if home.__name__ == f"{name}.{export}" else getattr(home, export)
+            if getattr(package, export) is not want:
+                wrong.append(export)
         print(json.dumps(wrong))
-        """
+        """,
+        package,
     )
-    assert out == []
+
+
+def test_exports_resolve_to_their_defining_objects():
+    assert _misresolved_exports("repro") == []
+
+
+def test_service_exports_resolve_to_their_defining_objects():
+    assert _misresolved_exports("repro.service") == []
 
 
 def test_dir_lists_every_export_before_first_access():

@@ -4,11 +4,14 @@ CD metrology, process windows, and hotspot detection."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import gaussian_filter
+from scipy.ndimage._filters import _gaussian_kernel1d
 
 from repro.geometry import Point, Rect, Region
 from repro.litho import (
     Cutline,
     HotspotKind,
+    LithoModel,
     ProcessCondition,
     ProcessWindow,
     find_hotspots,
@@ -19,7 +22,9 @@ from repro.litho import (
     simulate,
 )
 from repro.litho.cd import line_end_pullback, measure_space, subpixel_cd
+from repro.litho.model import _GEMM_CAP, _gaussian_band, _pass_plan
 from repro.litho.process import pv_band_area
+from repro.tech import NODE_32, NODE_45, NODE_65
 
 
 class TestRaster:
@@ -173,6 +178,133 @@ class TestAerialImage:
     def test_invalid_dose(self, litho45):
         with pytest.raises(ValueError):
             litho45.print_image(Region(), Rect(0, 0, 10, 10), dose=0)
+
+
+SHIPPED_NODES = [NODE_65, NODE_45, NODE_32]
+
+
+def _reference_blur(model, raster, sigma_px, trim):
+    """The blur by ``gaussian_filter`` over the whole raster, then cropped
+    to the core: the oracle for the banded products."""
+    main = gaussian_filter(raster, sigma_px, mode="constant")
+    wide = gaussian_filter(raster, sigma_px * model.flare_ratio, mode="constant")
+    image = (1.0 + model.flare) * main - model.flare * wide
+    h, w = raster.shape
+    return image[trim : h - trim, trim : w - trim]
+
+
+def _node_sigmas(tech, steps=4):
+    """(model, sigma_px, trim) from defocus 0 to the node's max defocus."""
+    model = LithoModel(tech.litho)
+    g = model.settings.grid_nm
+    for defocus in np.linspace(0.0, model.settings.max_defocus_nm, steps):
+        yield model, model.blur_sigma_nm(defocus) / g, model._halo_px(defocus, g)
+
+
+class TestBandedBlur:
+    """``LithoModel._blur`` against ``gaussian_filter`` plus crop."""
+
+    def _check(self, model, raster, sigma_px, trim):
+        got = model._blur(raster, sigma_px, trim)
+        want = _reference_blur(model, raster, sigma_px, trim)
+        assert got.shape == want.shape
+        if want.size:
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("tech", SHIPPED_NODES, ids=lambda t: t.name)
+    def test_matches_oracle_over_the_focus_range(self, tech):
+        rng = np.random.default_rng(tech.node_nm)
+        for model, sigma_px, trim in _node_sigmas(tech):
+            # non-square, and neither side a multiple of a block
+            raster = rng.random((2 * trim + 70, 2 * trim + 45))
+            self._check(model, raster, sigma_px, trim)
+
+    @pytest.mark.parametrize("tech", SHIPPED_NODES, ids=lambda t: t.name)
+    @pytest.mark.parametrize(
+        "core", [(1, 1), (3, 17), (31, 5), (8, 160), (160, 8)], ids=lambda c: f"{c[0]}x{c[1]}"
+    )
+    def test_small_cores_and_measure_cd_strips(self, tech, core):
+        rng = np.random.default_rng(core[0] * 1000 + core[1])
+        for model, sigma_px, trim in _node_sigmas(tech, steps=2):
+            raster = rng.random((core[0] + 2 * trim, core[1] + 2 * trim))
+            self._check(model, raster, sigma_px, trim)
+
+    def test_rasterized_mask_without_halo(self, litho45):
+        mask = Region([Rect(0, 0, 45, 300), Rect(90, 0, 135, 300), Rect(0, 340, 300, 385)])
+        raster = rasterize(mask, Rect(-20, -20, 320, 400), 5)
+        self._check(litho45, raster, 4.6, 0)
+
+    def test_empty_core(self, litho45):
+        raster = np.ones((20, 30))
+        assert litho45._blur(raster, 4.6, 10).shape == (0, 10)
+        assert litho45._blur(raster, 4.6, 16).shape == (0, 0)
+
+    def test_zero_sigma_is_the_identity(self, litho45):
+        """``gaussian_filter`` skips an axis whose sigma is zero."""
+        raster = np.random.default_rng(0).random((12, 9))
+        self._check(litho45, raster, 0.0, 2)
+
+    def test_measure_cd_strip_image(self, litho45):
+        """A ``measure_cd`` window is 8 pixels across."""
+        line = Region(Rect(0, 0, 45, 2000))
+        g = litho45.settings.grid_nm
+        for window in (Rect(-400, 980, 400, 1020), Rect(2, 600, 42, 1400)):
+            trim = litho45._halo_px(0.0, g)
+            big = window.expanded(trim * g)
+            raster = rasterize(line, big, g)
+            image = litho45.aerial_image(line, window, 0.0, g)
+            want = _reference_blur(litho45, raster, litho45.blur_sigma_nm(0.0) / g, trim)
+            assert np.abs(image - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("sigma_px", [0.05, 1.0, 4.575, 13.7, 20.3])
+    def test_taps_equal_scipy(self, sigma_px):
+        band, r = _gaussian_band(sigma_px)
+        assert r == int(4.0 * sigma_px + 0.5)
+        taps = _gaussian_kernel1d(sigma_px, 0, r)
+        for i in range(band.shape[0]):
+            assert np.array_equal(band[i, i : i + 2 * r + 1], taps)
+            assert not band[i, :i].any() and not band[i, i + 2 * r + 1 :].any()
+
+
+class TestBlurPlan:
+    """Every product the blur runs is small enough that OpenBLAS keeps it
+    on the calling thread, so pooled workers start no BLAS threads."""
+
+    @pytest.mark.parametrize("tech", SHIPPED_NODES, ids=lambda t: t.name)
+    def test_products_stay_under_the_single_thread_cap(self, tech, monkeypatch):
+        model = LithoModel(tech.litho)
+        g = model.settings.grid_nm
+        defocus = model.settings.max_defocus_nm
+        sigma_px, trim = model.blur_sigma_nm(defocus) / g, model._halo_px(defocus, g)
+        products = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            products.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        for core in [(1, 1), (8, 160), (160, 8), (33, 65), (600, 410)]:
+            model._blur(np.ones((core[0] + 2 * trim, core[1] + 2 * trim)), sigma_px, trim)
+        assert len(products) == 4 * 5  # two passes per kernel, two kernels
+        # the flare kernel at max defocus is the widest any node plans
+        assert max(k for _, k, _ in products) > 2 * int(4.0 * sigma_px * model.flare_ratio)
+        assert all(m * k * n <= _GEMM_CAP for m, k, n in products)
+
+    def test_plan_caps_every_radius(self):
+        for r in (0, 1, 18, 55, 81, 300, 2100, 50_000):
+            for n_out, n_across in ((1, 1), (7, 3000), (64, 64), (5000, 5000)):
+                b, c = _pass_plan(n_out, n_across, r)
+                assert 1 <= b <= n_out and 1 <= c <= n_across
+                assert b * (b + 2 * r) * c <= _GEMM_CAP
+
+    def test_band_cache_is_bounded_and_shared_read_only(self):
+        assert _gaussian_band.cache_info().maxsize is not None
+        for i in range(3 * _gaussian_band.cache_info().maxsize):
+            band, _ = _gaussian_band(1.0 + i / 97)
+            assert not band.flags.writeable
+        info = _gaussian_band.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 class TestCdMetrology:
